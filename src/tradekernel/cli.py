@@ -110,6 +110,21 @@ def _move_line(sign: int, d: cycles.DoubleDiamond) -> str:
     return f"{s} poles={d.poles[0]},{d.poles[1]} middles={mids} from={d.source} to={d.target}"
 
 
+def _order(minimum: int):
+    """argparse type for --n: an integer of at least `minimum`, else a usage error (exit 2)."""
+
+    def order(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+
+    return order
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=cycles.DEFAULT_SEED, help="seed for stochastic operations")
     p.add_argument("--budget", type=int, default=None, help="node budget for searches")
@@ -131,13 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     lat = groups.add_parser("latin").add_subparsers(dest="sub", required=True)
     p = sub(lat, "matrix")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order(1), required=True)
     p.add_argument("--out", help="write the matrix dump here instead of embedding it")
     p = sub(lat, "rank")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order(1), required=True)
     p.add_argument("--mod", type=int, default=None, help="prime for modular rank")
     p = sub(lat, "basis")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order(2), required=True)
     p.add_argument("--out", help="write the stacked basis vectors as a matrix dump")
     p = sub(lat, "decompose")
     p.add_argument("--trade", required=True, help="trade file (two grids)")
@@ -152,28 +167,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     cyc = groups.add_parser("cycles").add_subparsers(dest="sub", required=True)
     p = sub(cyc, "matrix")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order(4), required=True)
     p.add_argument("--out")
     p = sub(cyc, "rank")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order(4), required=True)
     p.add_argument("--mod", type=int, default=None)
     p = sub(cyc, "diamonds")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order(0), required=True)
     p.add_argument("--list", action="store_true", help="include every diamond in the payload")
     p = sub(cyc, "span")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order(4), required=True)
     p = sub(cyc, "basis")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order(4), required=True)
     p = sub(cyc, "decompose")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--trade", help="trade pair file (two cycle blocks)")
     src.add_argument("--a", help="first system file (with --b: decompose the difference)")
     p.add_argument("--b", help="second system file")
     p = sub(cyc, "find")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order(0), required=True)
     p.add_argument("--out", help="write the system file here")
     p = sub(cyc, "diamond-free")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order(0), required=True)
     p.add_argument("--restarts", type=int, default=500)
     p.add_argument("--out")
     p = sub(cyc, "count-diamonds")
@@ -350,7 +365,7 @@ def _run_cycles(args, command, t0):
         span = cycles.diamond_span_rank(args.n)
         ds = cycles.enumerate_double_diamonds(args.n) if args.n >= 6 else []
         m = cycles.build_inclusion_matrix(args.n)
-        kdim = cycles.kernel_dimension(args.n) if args.n >= 4 else 0
+        kdim = cycles.kernel_dimension(args.n)
         payload = _rank_payload(
             args.n,
             m.n_rows,

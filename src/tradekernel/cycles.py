@@ -13,11 +13,10 @@ trade whose edge union is the K_{2,4} on poles x middles. Identity is
 kept unordered (source index < target index in enumeration); direction
 is carried by the sign of a move.
 
-Rank work at order 9 runs modulo seeded 31-bit primes; the results are
-still exact because the mod-p rank bounds the rational rank from below
-while row counts and the kernel dimension bound it from above, and the
-two bounds meet everywhere they are used. Decompositions found modularly
-are verified by exact rational recombination before being returned.
+The diamond span rank and basis come from one exact elimination over Z
+of the 4-sparse diamond rows, cross-checked by a mod-p rank on one
+prime. Decompositions are solved modulo seeded 31-bit primes and
+verified by exact rational recombination before being returned.
 """
 
 import functools
@@ -43,8 +42,10 @@ from .errors import (
     ScheduleFailureError,
     SearchExhaustedError,
     SpanDeficientError,
+    VerificationError,
 )
-from .exactla import SparseIntMatrix, coefficients_in_span, rank_exact_dense
+from .exactla import SparseEchelon, SparseIntMatrix, rank_exact_dense
+from .exactla import coefficients_in_span  # noqa: F401  (perfbench/tracing.py wraps cycles.coefficients_in_span)
 from .primes import default_primes, sample_primes
 
 DEFAULT_SEED = 1
@@ -440,8 +441,7 @@ def _diamond_stack(n: int) -> tuple[tuple[DoubleDiamond, ...], np.ndarray]:
     """(diamonds, stacked vectors) with one row per enumerated diamond.
 
     Every row is checked to lie in ker M (both sides cover the same eight
-    K_{2,4} edges), which is what lets mod-p ranks certify exact values:
-    rank_p <= rank <= dim ker M.
+    K_{2,4} edges), so the rank of any set of rows is at most dim ker M.
     """
     diamonds = tuple(enumerate_double_diamonds(n))
     idx = cycle_index_map(n) if n >= 4 else {}
@@ -449,9 +449,10 @@ def _diamond_stack(n: int) -> tuple[tuple[DoubleDiamond, ...], np.ndarray]:
     for r, d in enumerate(diamonds):
         src = d.source_cycles()
         tgt = d.target_cycles()
-        assert Counter(e for c in src for e in c.edge_pairs()) == Counter(
+        if Counter(e for c in src for e in c.edge_pairs()) != Counter(
             e for c in tgt for e in c.edge_pairs()
-        )
+        ):
+            raise VerificationError(f"diamond {d} is not edge-balanced, so not in ker M")
         for c in src:
             stack[r, idx[c]] += 1
         for c in tgt:
@@ -459,52 +460,60 @@ def _diamond_stack(n: int) -> tuple[tuple[DoubleDiamond, ...], np.ndarray]:
     return diamonds, stack
 
 
-# diamond families up to this size get the exact Bareiss treatment
+# the `cycles span` payload labels diamond families up to this size "exact"
+# and larger ones "mod-p certified"; every span rank is exact either way
 _EXACT_DIAMOND_LIMIT = 500
 
 
-def diamond_span_rank(n: int) -> int:
-    """Rank of the stacked diamond vectors.
+@functools.lru_cache(maxsize=None)
+def _diamond_selection(n: int) -> tuple[int, ...]:
+    """Indices of the diamonds that raise the rank, scanning in enumeration order.
 
-    Exact elimination up to _EXACT_DIAMOND_LIMIT rows; beyond that the
-    rank is computed modulo three seeded 31-bit primes, which must agree.
-    The modular value is itself exact whenever it reaches the kernel
-    dimension (the stack lives inside ker M, so the kernel dimension is
-    an upper bound that the mod-p lower bound then meets).
+    One exact elimination over Z (SparseEchelon) on the 4-sparse rows,
+    stopped once the rank reaches dim ker M, which no set of rows can
+    exceed. The mod-p rank of the selected rows on one prime must equal
+    their count: a second, independent proof that they are independent.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         diamonds, stack = _diamond_stack(n)
     if not diamonds:
-        return 0
-    if len(diamonds) <= _EXACT_DIAMOND_LIMIT:
-        return rank_exact_dense(stack.tolist())
-    ranks = {p: kernels.modp_rank(stack, p) for p in default_primes(3)}
-    vals = set(ranks.values())
-    if len(vals) != 1:
-        raise RuntimeError(f"primes disagree on diamond span rank: {ranks}")
-    return vals.pop()
+        return ()
+    need = kernel_dimension(n)
+    echelon = SparseEchelon()
+    sel = []
+    for i, row in enumerate(stack):
+        if len(sel) == need:
+            break
+        cols = np.flatnonzero(row)
+        if echelon.add(dict(zip(cols.tolist(), row[cols].tolist()))):
+            sel.append(i)
+    p = default_primes(1)[0]
+    rank_p = kernels.modp_rank(stack[sel], p)
+    if rank_p != len(sel):
+        raise VerificationError(
+            f"n={n}: {len(sel)} diamonds selected as independent, but their rank mod {p} is {rank_p}"
+        )
+    return tuple(sel)
+
+
+def diamond_span_rank(n: int) -> int:
+    """Rank of the stacked diamond vectors, exact over Q.
+
+    The length of the one cached diamond selection. The scan stops at the
+    kernel dimension, which bounds the rank from above because every row
+    lies in ker M; so the value is the full span rank in every case.
+    """
+    return len(_diamond_selection(n))
 
 
 @functools.lru_cache(maxsize=None)
 def _diamond_basis_indices(n: int) -> tuple[int, ...]:
-    diamonds, stack = _diamond_stack(n)
+    sel = _diamond_selection(n)
     need = kernel_dimension(n)
-    span = diamond_span_rank(n)
-    if span != need:
-        raise SpanDeficientError(n, span, need)
-    for p in default_primes(5):
-        sel = kernels.greedy_rank_filter(stack, p)
-        if sel.size == need:
-            # #rows = mod-p rank forces exact independence; confirm on a
-            # second prime, and exactly when the subset is small
-            p2 = next(q for q in default_primes(6) if q != p)
-            if kernels.modp_rank(stack[sel], p2) != need:
-                continue
-            if need <= _EXACT_DIAMOND_LIMIT:
-                assert rank_exact_dense(stack[sel].tolist()) == need
-            return tuple(int(i) for i in sel)
-    raise RuntimeError(f"greedy filter failed to reach rank {need} on 5 primes at n={n}")
+    if len(sel) != need:
+        raise SpanDeficientError(n, len(sel), need)
+    return sel
 
 
 def diamond_basis(n: int) -> list[DoubleDiamond]:
@@ -545,7 +554,8 @@ def _assert_kernel_member(v: CycleVector) -> None:
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     g, s, _ = _ext_gcd(m1, m2)
-    assert g == 1
+    if g != 1:
+        raise VerificationError(f"CRT moduli {m1} and {m2} are not coprime")
     m = m1 * m2
     x = (r1 + (r2 - r1) * s % m2 * m1) % m
     return x, m
@@ -666,9 +676,9 @@ def _verify_recombination(
 def decompose_trade(v: CycleVector) -> DiamondDecomposition:
     """Exact rational coordinates of a kernel vector over diamond_basis(n).
 
-    Small orders solve over Q directly; larger ones go through several
-    primes, CRT, and rational reconstruction, and in every case the
-    recombination is verified exactly before returning.
+    Solved modulo several primes with cached solve factors, combined by
+    CRT and rational reconstruction; the recombination is verified
+    exactly before returning.
     """
     _assert_kernel_member(v)
     n = v.n
@@ -676,15 +686,7 @@ def decompose_trade(v: CycleVector) -> DiamondDecomposition:
     if v.is_zero():
         coeffs: tuple[Fraction, ...] = tuple(Fraction(0) for _ in sel)
         return DiamondDecomposition(n, coeffs, True)
-    if len(sel) <= 128:
-        _, stack = _diamond_stack(n)
-        gens = [list(map(int, stack[i])) for i in sel]
-        got = coefficients_in_span(gens, v.to_ints())
-        assert got is not None
-        coeffs = tuple(got)
-        assert _verify_recombination(n, sel, coeffs, v)
-    else:
-        coeffs = _decompose_modular(v)
+    coeffs = _decompose_modular(v)
     integral = all(c.denominator == 1 for c in coeffs)
     return DiamondDecomposition(n, coeffs, integral)
 
@@ -859,6 +861,8 @@ def search_diamond_free(
     """
     if n < 1 or n % 8 != 1:
         raise NotAdmissibleError(n)
+    if n == 1:
+        return CycleSystem(1, [])
     rng = random.Random(seed)
     node_budget = search_budget(budget)
     best = None

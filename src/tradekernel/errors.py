@@ -78,5 +78,11 @@ class IdenticalSquaresError(TradeKernelError):
         super().__init__("squares are identical; the difference trade is empty")
 
 
+class VerificationError(TradeKernelError):
+    """An internal exactness check failed: a result the package was about
+    to return is not what it claims to be. Raised explicitly, never by
+    assert, so that `python -O` cannot switch the check off."""
+
+
 class FormatError(TradeKernelError):
     """Malformed input file or text block. The CLI maps this to exit 2."""

@@ -1,14 +1,16 @@
 """Exact integer linear algebra on small sparse matrices.
 
-Rank is computed two independent ways: fraction-free Bareiss elimination
-over the integers, and elimination mod a prime (a lower bound on the
-exact rank that is cheap enough to repeat for several primes). Kernel
-bases and span coefficients use Fraction arithmetic, so every result
-here is exact; the numba-accelerated modular routines live in kernels.
+Exact rank comes from fraction-free elimination over the integers:
+Bareiss on dense matrices, and SparseEchelon for long streams of sparse
+rows, which also says which rows raised the rank. Elimination mod a
+prime (kernels) is a lower bound on the exact rank and serves as an
+independent certificate. Kernel bases and span coefficients use Fraction
+arithmetic, so every result here is exact.
 
-None of this is meant for matrices beyond a few thousand rows. The
-structured matrices in this package keep Bareiss pivots tiny (they never
-exceeded 1024 in profiling), so the exact path is fast where it is used.
+None of the dense routines is meant for matrices beyond a few thousand
+rows. The structured matrices in this package keep Bareiss pivots tiny
+(they never exceeded 1024 in profiling), so the exact path is fast where
+it is used.
 """
 
 from fractions import Fraction
@@ -171,6 +173,53 @@ def rank_exact_dense(rows: Sequence[Sequence[int]]) -> int:
         prev = pe
         rank += 1
     return rank
+
+
+class SparseEchelon:
+    """Row echelon form over Z, grown one sparse row at a time.
+
+    Pivot rows are dicts {column: value}, kept primitive (content 1) with
+    a positive leading entry and keyed by their leading column. An
+    incoming row is reduced fraction-free on its leading entry,
+    b*row - a*pivot with a/b the two leads in lowest terms, and divided by
+    its content after each step; it raises the rank exactly when it does
+    not reduce to zero. No division is ever inexact and no prime is
+    involved, so the rank is the rank over Q.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def add(self, row: Mapping[int, int]) -> bool:
+        """Insert row; True when it is outside the span of the rows so far."""
+        r = {c: int(v) for c, v in row.items() if v}
+        pivots = self.pivots
+        while r:
+            g = gcd(*r.values())
+            if g != 1:
+                r = {c: v // g for c, v in r.items()}
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                if r[lead] < 0:
+                    r = {c: -v for c, v in r.items()}
+                pivots[lead] = r
+                return True
+            a, b = r[lead], piv[lead]
+            if b != 1:
+                h = gcd(a, b)
+                a, b = a // h, b // h
+                r = {c: b * v for c, v in r.items()}
+            for c, v in piv.items():
+                x = r.get(c, 0) - a * v
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+        return False
 
 
 def rank_exact(a: SparseIntMatrix) -> int:

@@ -1,10 +1,15 @@
 """Exit codes, report envelopes, payload stability, file round-trips."""
 
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import tradekernel
 from tradekernel import cycles, latin
 from tradekernel.cli import main
 
@@ -89,6 +94,51 @@ class TestExitCodes:
         code, rep = run_json(capsys, "latin", "validate", "--square", str(f))
         assert code == 1
         assert rep["payload"]["valid"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cycles", "span", "--n", "3"],
+        ["cycles", "rank", "--n", "2"],
+        ["cycles", "basis", "--n", "3"],
+        ["latin", "rank", "--n", "0"],
+    ],
+)
+def test_order_below_minimum_is_usage_error(argv):
+    src = os.path.dirname(os.path.dirname(tradekernel.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "tradekernel.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "argument --n: must be at least" in out.stderr
+
+
+# sha256 of json.dumps(payload, sort_keys=True), recorded with the dense
+# mod-p/Bareiss basis selection that the exact sparse elimination replaced
+PAYLOAD_SHA256 = {
+    ("span", 7): "baf1864a539383d6516dc16d945c688541b1016ed0e43ab91ed1db856d2c81ce",
+    ("span", 8): "c6cf6bc9fdf12761f0309de700126a815ced1fd1b0960844ff55e5f978b9eaf2",
+    ("span", 9): "4b029b5bee054c98e1bf4487b67ba9e27f654579bdc526df2f287d6b9856bd9c",
+    ("basis", 7): "17285bd2baf25bb686d3a1d484ecef00a7f2ca1b404b068966eb534f3e488653",
+    ("basis", 8): "33143cfcf5fc5d5a236c90726d0cb0d17de2d99e2d315ecd2d64340f81f29d6c",
+    ("basis", 9): "e994b3c3b788eae945dce27a76d18068fcbcf00c390c6e4a8a9effd61f6f86af",
+}
+
+
+@pytest.mark.parametrize("cmd,n", sorted(PAYLOAD_SHA256))
+def test_diamond_payloads_pinned(capsys, cmd, n):
+    code, rep = run_json(capsys, "cycles", cmd, "--n", str(n))
+    assert code == 0
+    if cmd == "span":
+        assert rep["payload"]["mode"] == ("exact" if n == 7 else "mod-p certified")
+    blob = json.dumps(rep["payload"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PAYLOAD_SHA256[(cmd, n)]
 
 
 class TestGolden:

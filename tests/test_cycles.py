@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tradekernel import cycles, exactla
+import tradekernel
+from tradekernel import cycles, exactla, kernels
 from tradekernel.cycles import (
     CycleSystem,
     CycleTradePair,
@@ -44,7 +48,9 @@ from tradekernel.errors import (
     NotAdmissibleError,
     ScheduleFailureError,
     SpanDeficientError,
+    VerificationError,
 )
+from tradekernel.primes import default_primes
 
 
 def config_count_oracle(cyc_list):
@@ -194,6 +200,53 @@ class TestDiamonds:
         assert exactla.rank_exact(stack) == 30
 
 
+class TestBasisSelection:
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_matches_greedy_mod_p_oracle(self, n):
+        # the in-order mod-p rank filter is an independent oracle for the
+        # exact selection: on a lucky prime both keep the same rows
+        _, stack = cycles._diamond_stack(n)
+        oracle = tuple(int(i) for i in kernels.greedy_rank_filter(stack, default_primes(1)[0]))
+        assert cycles._diamond_basis_indices(n) == oracle
+        assert diamond_span_rank(n) == kernel_dimension(n) == len(oracle)
+
+    def test_unbalanced_diamond_rejected(self, monkeypatch):
+        def lopsided(d):
+            return d._cycles_of(d.source)[0], d._cycles_of(d.target)[1]
+
+        monkeypatch.setattr(cycles.DoubleDiamond, "target_cycles", lopsided)
+        with pytest.raises(VerificationError):
+            cycles._diamond_stack.__wrapped__(6)  # bypass the cache
+
+    def test_crt_rejects_shared_factor(self):
+        with pytest.raises(VerificationError):
+            cycles._crt_pair(1, 6, 2, 9)
+
+    def test_independence_certificate_survives_optimize(self):
+        # under -O every assert is stripped; the certificate must still fire
+        # when the mod-p rank of the selected rows falls short of their count
+        script = (
+            "import sys\n"
+            "assert False, 'asserts are live'\n"
+            "from tradekernel import cycles, kernels\n"
+            "from tradekernel.errors import VerificationError\n"
+            "kernels.modp_rank = lambda a, p: len(a) - 1\n"
+            "try:\n"
+            "    cycles._diamond_basis_indices(7)\n"
+            "except VerificationError as e:\n"
+            "    print('raised:', e)\n"
+            "    sys.exit(0)\n"
+            "sys.exit(3)\n"
+        )
+        src = os.path.dirname(os.path.dirname(tradekernel.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert "raised: n=7: 84 diamonds selected" in out.stdout
+
+
 class TestDecompose:
     def test_single_diamond(self):
         basis = diamond_basis(6)
@@ -340,6 +393,9 @@ class TestDiamondFreeSearch:
         out = search_diamond_free(9, seed=1, restarts=500)
         assert isinstance(out, CycleSystem)
         assert count_double_diamond_configs(out) == 0
+
+    def test_trivial_order_is_diamond_free(self):
+        assert search_diamond_free(1) == CycleSystem(1, [])
 
     def test_failure_reports_best(self):
         out = search_diamond_free(9, seed=1, restarts=0)

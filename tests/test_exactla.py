@@ -1,5 +1,6 @@
 """Exact linear algebra: ranks, kernels, span coordinates, lattices."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from tradekernel import exactla
 from tradekernel.errors import FormatError
 from tradekernel.exactla import (
+    SparseEchelon,
     SparseIntMatrix,
     coefficients_in_span,
     dump_matrix,
@@ -112,6 +114,34 @@ class TestRank:
         assert r == fraction_rank(rows)
         assert rank_mod_p(m, P) <= r
         assert 0 <= r <= min(m.n_rows, m.n_cols)
+
+
+class TestSparseEchelon:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_selects_the_rows_that_raise_the_rank(self, rows):
+        ech = SparseEchelon()
+        for i, row in enumerate(rows):
+            raised = ech.add(dict(enumerate(row)))
+            assert raised == (fraction_rank(rows[: i + 1]) > fraction_rank(rows[:i]))
+        assert len(ech) == fraction_rank(rows)
+
+    def test_pivots_primitive_with_positive_lead(self):
+        ech = SparseEchelon()
+        assert ech.add({0: -2, 3: 4})
+        assert ech.add({0: 3, 1: 6, 2: 9})
+        assert not ech.add({0: -4, 3: 8})
+        assert not ech.add({})
+        for lead, piv in ech.pivots.items():
+            assert lead == min(piv) and piv[lead] > 0
+            assert math.gcd(*piv.values()) == 1
+        assert ech.pivots[0] == {0: 1, 3: -2}
 
 
 class TestKernel:
