@@ -1,8 +1,8 @@
 """Exact kernel bases for latin trades and 4-cycle trades.
 
 Submodules: exactla (integer/rational linear algebra), kernels (modular
-elimination and cover search, numba or numpy), latin (latin trades and
-the intercalate move engine), cycles (4-cycle systems and double-diamond
+elimination and cover search in numpy), latin (latin trades and the
+intercalate move engine), cycles (4-cycle systems and double-diamond
 moves), cli (command line front end).
 """
 

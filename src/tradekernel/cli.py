@@ -6,13 +6,18 @@ The payload is deterministic for fixed inputs and seed (timing lives
 outside it). Integers above 2**53-1 and all rationals are serialized as
 strings so exactness survives JSON. Exit codes: 0 success, 1 for
 domain-negative outcomes (not admissible, not in span, search failure,
-invalid object under validate), 2 for usage or format errors.
+invalid object under validate), 2 for usage or format errors (checked
+when the arguments are parsed where possible: --n, --mod and
+TRADE_KERNEL_BUDGET), 3 when an internal exactness check fails
+(VerificationError). Exit codes 1 and 3 print a report whose payload
+names the error.
 """
 
 import argparse
 import concurrent.futures
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -29,7 +34,7 @@ from .errors import (
     ScheduleFailureError,
     SearchExhaustedError,
     SpanDeficientError,
-    TradeKernelError,
+    VerificationError,
 )
 
 _DOMAIN_ERRORS = (
@@ -125,6 +130,14 @@ def _order(minimum: int):
     return order
 
 
+def _prime(text: str) -> int:
+    """argparse type for --mod: a prime in [2, 2**31), else a usage error (exit 2)."""
+    try:
+        return exactla.check_modulus(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=cycles.DEFAULT_SEED, help="seed for stochastic operations")
     p.add_argument("--budget", type=int, default=None, help="node budget for searches")
@@ -150,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the matrix dump here instead of embedding it")
     p = sub(lat, "rank")
     p.add_argument("--n", type=_order(1), required=True)
-    p.add_argument("--mod", type=int, default=None, help="prime for modular rank")
+    p.add_argument("--mod", type=_prime, default=None, help="prime for modular rank")
     p = sub(lat, "basis")
     p.add_argument("--n", type=_order(2), required=True)
     p.add_argument("--out", help="write the stacked basis vectors as a matrix dump")
@@ -171,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p = sub(cyc, "rank")
     p.add_argument("--n", type=_order(4), required=True)
-    p.add_argument("--mod", type=int, default=None)
+    p.add_argument("--mod", type=_prime, default=None)
     p = sub(cyc, "diamonds")
     p.add_argument("--n", type=_order(0), required=True)
     p.add_argument("--list", action="store_true", help="include every diamond in the payload")
@@ -206,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     lin = groups.add_parser("linalg").add_subparsers(dest="sub", required=True)
     p = sub(lin, "rank")
     p.add_argument("--matrix", required=True, help="matrix dump file")
-    p.add_argument("--mod", type=int, default=None)
+    p.add_argument("--mod", type=_prime, default=None)
     p = sub(lin, "kernel")
     p.add_argument("--matrix", required=True)
     p.add_argument("--out", help="write the kernel basis as a matrix dump")
@@ -356,7 +369,7 @@ def _run_cycles(args, command, t0):
             None,
         )
     if args.sub == "diamonds":
-        ds = cycles.enumerate_double_diamonds(args.n)
+        ds = cycles.enumerate_double_diamonds(args.n) if args.n >= 6 else []
         payload = {"n": args.n, "count": len(ds)}
         if args.list:
             payload["diamonds"] = [_move_line(1, d)[3:] for d in ds]
@@ -577,6 +590,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        cycles.search_budget()
+    except ValueError:
+        parser.error(f"TRADE_KERNEL_BUDGET must be an integer, got {os.environ['TRADE_KERNEL_BUDGET']!r}")
     command = f"{args.group} {args.sub}"
     t0 = time.perf_counter()
     try:
@@ -584,7 +601,7 @@ def main(argv=None) -> int:
     except _Negative as neg:
         _emit(args, command, neg.payload, {"argv": " ".join(argv)}, t0=t0)
         return 1
-    except _DOMAIN_ERRORS as e:
+    except (*_DOMAIN_ERRORS, VerificationError) as e:
         _emit(
             args,
             command,
@@ -592,7 +609,7 @@ def main(argv=None) -> int:
             {"argv": " ".join(argv)},
             t0=t0,
         )
-        return 1
+        return 3 if isinstance(e, VerificationError) else 1
     except (FormatError, FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         print(f"run 'tradekernel {command} --help' for the expected formats", file=sys.stderr)

@@ -16,7 +16,8 @@ is carried by the sign of a move.
 The diamond span rank and basis come from one exact elimination over Z
 of the 4-sparse diamond rows, cross-checked by a mod-p rank on one
 prime. Decompositions are solved modulo seeded 31-bit primes and
-verified by exact rational recombination before being returned.
+verified by exact recombination before being returned. Every such check
+raises VerificationError, never asserts, so `python -O` keeps it.
 """
 
 import functools
@@ -343,7 +344,7 @@ class CycleTradePair:
 
 
 def trade_vector(tp: CycleTradePair) -> CycleVector:
-    """+1 on T, -1 on T*. M X = 0 is asserted via the edge multisets."""
+    """+1 on T, -1 on T*. M X = 0 is checked via the edge multisets."""
     idx = cycle_index_map(tp.n)
     v = np.zeros(3 * math.comb(tp.n, 4), dtype=np.int64)
     for c in tp.t:
@@ -351,9 +352,10 @@ def trade_vector(tp: CycleTradePair) -> CycleVector:
     for c in tp.t_star:
         v[idx[c]] -= 1
     # row e of M X is (cycles of T on e) - (cycles of T* on e)
-    assert Counter(e for c in tp.t for e in c.edge_pairs()) == Counter(
+    if Counter(e for c in tp.t for e in c.edge_pairs()) != Counter(
         e for c in tp.t_star for e in c.edge_pairs()
-    )
+    ):
+        raise VerificationError("T and T* cover different edge multisets, so X is not in ker M")
     return CycleVector(tp.n, v)
 
 
@@ -651,20 +653,26 @@ def _decompose_modular(v: CycleVector) -> tuple[Fraction, ...]:
 def _verify_recombination(
     n: int, sel: Sequence[int], coeffs: Sequence[Fraction], v: CycleVector
 ) -> bool:
-    """Exact check that sum c_i D_i = v, using the 4-sparse diamond rows."""
+    """Exact check that sum c_i D_i = v, using the 4-sparse diamond rows.
+
+    Scaled by the lcm L of the coefficient denominators, the check is
+    sum (L c_i) D_i = L v, all in integers.
+    """
     diamonds, _ = _diamond_stack(n)
     idx = cycle_index_map(n)
-    acc: dict[int, Fraction] = {}
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    acc: dict[int, int] = {}
     for i, c in zip(sel, coeffs):
         if not c:
             continue
+        c = c.numerator * (scale // c.denominator)
         d = diamonds[i]
         for cyc in d.source_cycles():
-            acc[idx[cyc]] = acc.get(idx[cyc], Fraction(0)) + c
+            acc[idx[cyc]] = acc.get(idx[cyc], 0) + c
         for cyc in d.target_cycles():
-            acc[idx[cyc]] = acc.get(idx[cyc], Fraction(0)) - c
+            acc[idx[cyc]] = acc.get(idx[cyc], 0) - c
     for j, val in acc.items():
-        if val != int(v.entries[j]):
+        if val != scale * int(v.entries[j]):
             return False
     nonzero = {j for j, val in acc.items() if val}
     for j in np.nonzero(v.entries)[0]:
@@ -891,7 +899,8 @@ def search_diamond_free(
             best = count
         if count == 0:
             out = CycleSystem(n, state)
-            assert count_double_diamond_configs(out) == 0
+            if count_double_diamond_configs(out) != 0:
+                raise VerificationError(f"hill-climb reported a diamond-free 4CS({n}) that has configurations")
             return out
     return DiamondSearchReport(n, seed, restarts, int(best) if best is not None else -1)
 
@@ -956,7 +965,8 @@ def _replay_virtual(start: Counter, goal: Counter, moves) -> tuple[int, ...]:
             state[c] += 1
         state = Counter({c: m for c, m in state.items() if m})
         audit.append(_improper_count(state))
-    assert state == goal
+    if state != goal:
+        raise VerificationError("replaying the move plan does not reach the goal system")
     return tuple(audit)
 
 
@@ -980,7 +990,8 @@ def _schedule_strict(start: Counter, goal: Counter, pending: list) -> list:
         sign, d = pending.pop(chosen)
         state = apply_diamond_move(state, d, sign)
         plan.append((sign, d))
-    assert state == goal
+    if state != goal:
+        raise VerificationError("the strict schedule does not reach the goal system")
     return plan
 
 
@@ -1083,7 +1094,8 @@ def transform(
     if mode == "strict":
         plan = _schedule_strict(start, goal, moves)
         audit = _replay_virtual(start, goal, plan)
-        assert all(a == 0 for a in audit)
+        if any(audit):
+            raise VerificationError("a strict plan passed through a state that is not a system")
         return CycleMovePlan(n, mode, 1, tuple(plan), audit)
     # lifted
     filler = _counter_of(find_cycle_system(n))
@@ -1099,7 +1111,8 @@ def transform(
         for sign, d in path:
             # raises MissingCycles if the path ever went negative
             state = apply_diamond_move(state, d, sign)
-        assert state == b
+        if state != b:
+            raise VerificationError(f"replaying the lifted plan at lambda={lam} does not reach the goal")
         return CycleMovePlan(n, "lifted", lam, tuple(path), tuple(0 for _ in path))
     raise ScheduleFailureError(
         f"lifted scheduling failed for lambda up to {lam_max} within budget {node_budget}"

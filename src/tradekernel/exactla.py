@@ -1,16 +1,16 @@
 """Exact integer linear algebra on small sparse matrices.
 
-Exact rank comes from fraction-free elimination over the integers:
-Bareiss on dense matrices, and SparseEchelon for long streams of sparse
-rows, which also says which rows raised the rank. Elimination mod a
-prime (kernels) is a lower bound on the exact rank and serves as an
-independent certificate. Kernel bases and span coefficients use Fraction
-arithmetic, so every result here is exact.
+Exact rank comes from one fraction-free elimination over the integers,
+SparseEchelon, which takes rows one at a time and also says which rows
+raised the rank. Elimination mod a prime (kernels) is a lower bound on
+the exact rank and serves as an independent certificate. Kernel bases
+and span coefficients use Fraction arithmetic, so every result here is
+exact.
 
-None of the dense routines is meant for matrices beyond a few thousand
-rows. The structured matrices in this package keep Bareiss pivots tiny
-(they never exceeded 1024 in profiling), so the exact path is fast where
-it is used.
+The inclusion matrices of this package are 0/1 with a few nonzeros per
+row, and their pivot rows stay small and sparse under SparseEchelon. The
+dense Fraction routines are not meant for matrices beyond a few
+thousand rows.
 """
 
 from fractions import Fraction
@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import FormatError
+from .errors import FormatError, VerificationError
 from .primes import is_probable_prime
 
 
@@ -138,43 +138,6 @@ def parse_matrix(text: str) -> SparseIntMatrix:
 # exact rank
 
 
-def rank_exact_dense(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction-free Bareiss elimination.
-
-    Pivot rule: sweep columns left to right, pick the first row at or
-    below the current rank with a nonzero entry. All intermediate values
-    are minors of the input, so every division below is exact; the assert
-    guards against pivot bookkeeping bugs, not numerical error.
-    """
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    a = [[int(x) for x in row] for row in rows]
-    prev = 1
-    rank = 0
-    for c in range(n):
-        if rank == m:
-            break
-        pr = next((i for i in range(rank, m) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[rank], a[pr] = a[pr], a[rank]
-        ar = a[rank]
-        pe = ar[c]
-        for i in range(rank + 1, m):
-            ai = a[i]
-            f = ai[c]
-            for k in range(c, n):
-                num = pe * ai[k] - f * ar[k]
-                q = num // prev
-                assert q * prev == num
-                ai[k] = q
-        prev = pe
-        rank += 1
-    return rank
-
-
 class SparseEchelon:
     """Row echelon form over Z, grown one sparse row at a time.
 
@@ -222,20 +185,32 @@ class SparseEchelon:
         return False
 
 
+def rank_exact_dense(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q: one SparseEchelon pass over the nonzeros of each row."""
+    echelon = SparseEchelon()
+    for row in rows:
+        echelon.add({c: v for c, v in enumerate(row) if v})
+    return len(echelon)
+
+
 def rank_exact(a: SparseIntMatrix) -> int:
-    """Exact rank of a sparse integer matrix (Bareiss on the dense form)."""
+    """Exact rank of a sparse integer matrix."""
     return rank_exact_dense(a.to_dense())
 
 
-def rank_mod_p(a: SparseIntMatrix, p: int) -> int:
-    """Rank mod p. Always a lower bound on the exact rank.
+def check_modulus(p: int) -> int:
+    """p itself if it is a prime below 2**31, else ValueError.
 
-    p must be a prime below 2**31 so the elimination kernels stay inside
-    int64.
+    The bound keeps the elimination kernels inside int64.
     """
     if not (2 <= p < 2**31) or not is_probable_prime(p):
         raise ValueError(f"p must be a prime below 2**31, got {p}")
-    return kernels.modp_rank(a.to_array(), p)
+    return p
+
+
+def rank_mod_p(a: SparseIntMatrix, p: int) -> int:
+    """Rank mod p. Always a lower bound on the exact rank."""
+    return kernels.modp_rank(a.to_array(), check_modulus(p))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +310,8 @@ def coefficients_in_span(
         for j in range(m):
             if coeffs[j]:
                 acc += coeffs[j] * generators[j][i]
-        assert acc == target[i]
+        if acc != target[i]:
+            raise VerificationError(f"span coefficients recombine to {acc} at entry {i}, not {target[i]}")
     return coeffs
 
 

@@ -1,12 +1,7 @@
 """Hot numeric kernels: modular elimination and the cover search.
 
-Every function here has two interchangeable implementations, a numba
-@njit one and a pure numpy one. The active backend is chosen at import
-time from the TRADE_KERNEL_JIT environment variable (unset or truthy
-means jit when numba is importable, "0"/"false" forces numpy) and can be
-switched at runtime with use_backend(), which the parity tests and the
-benchmark rely on. Both paths use the same pivot rules, so results are
-bit-identical.
+Plain numpy loops, one implementation per kernel. Each routine states
+its fixed pivot rule, so results depend only on the input and the prime.
 
 Overflow discipline: all moduli are below 2**31, so a single product of
 two residues is below 2**62 and a rank-one update step stays inside
@@ -14,38 +9,10 @@ int64. Matrix-vector products sum many products and would overflow, so
 modp_matvec splits the vector into 16-bit halves first.
 """
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _env_wants_jit() -> bool:
-    val = os.environ.get("TRADE_KERNEL_JIT", "").strip().lower()
-    if val in ("0", "false", "off", "no"):
-        return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def _np_greedy_rank_filter(vectors: np.ndarray, p: int) -> np.ndarray:
+def greedy_rank_filter(vectors: np.ndarray, p: int) -> np.ndarray:
     """Indices of the rows that increase rank mod p, scanning in order.
 
     Equivalent to inserting rows one at a time and keeping those outside
@@ -73,11 +40,12 @@ def _np_greedy_rank_filter(vectors: np.ndarray, p: int) -> np.ndarray:
     return np.asarray(sel, dtype=np.int64)
 
 
-def _np_modp_rank(a: np.ndarray, p: int) -> int:
-    return int(_np_greedy_rank_filter(a, p).size)
+def modp_rank(a: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix mod p."""
+    return int(greedy_rank_filter(a, p).size)
 
 
-def _np_modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form mod p. Returns (rref matrix, pivot columns).
 
     Pivot rule: sweep columns left to right, take the first row at or
@@ -109,7 +77,7 @@ def _np_modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return m, np.asarray(piv, dtype=np.int64)
 
 
-def _np_cover_dfs(
+def cover_dfs(
     n_edges: int,
     cyc_edges: np.ndarray,
     cand: np.ndarray,
@@ -168,231 +136,16 @@ def _np_cover_dfs(
         chosen[depth] = -1
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-
-
-@njit(cache=True)
-def _nb_modinv(a, p):  # pragma: no cover - numba
-    # binary exponentiation of a**(p-2); a < 2**31 keeps squares in int64
-    r = np.int64(1)
-    b = a % p
-    e = p - 2
-    while e > 0:
-        if e & 1:
-            r = r * b % p
-        b = b * b % p
-        e >>= 1
-    return r
-
-
-@njit(cache=True)
-def _nb_greedy_rank_filter(a, p):  # pragma: no cover - numba
-    nrows, ncols = a.shape
-    sel = np.empty(nrows, dtype=np.int64)
-    nsel = 0
-    for i in range(nrows):
-        c = -1
-        for k in range(ncols):
-            if a[i, k] != 0:
-                c = k
-                break
-        if c < 0:
-            continue
-        sel[nsel] = i
-        nsel += 1
-        inv = _nb_modinv(a[i, c], p)
-        for k in range(ncols):
-            a[i, k] = a[i, k] * inv % p
-        for r in range(i + 1, nrows):
-            f = a[r, c]
-            if f != 0:
-                for k in range(ncols):
-                    a[r, k] = (a[r, k] - f * a[i, k]) % p
-    return sel[:nsel]
-
-
-@njit(cache=True)
-def _nb_modp_rref(m, p):  # pragma: no cover - numba
-    nrows, ncols = m.shape
-    piv = np.empty(min(nrows, ncols), dtype=np.int64)
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = -1
-        for i in range(r, nrows):
-            if m[i, c] != 0:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            for k in range(ncols):
-                t = m[r, k]
-                m[r, k] = m[pr, k]
-                m[pr, k] = t
-        inv = _nb_modinv(m[r, c], p)
-        for k in range(ncols):
-            m[r, k] = m[r, k] * inv % p
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = m[i, c]
-            if f != 0:
-                for k in range(ncols):
-                    m[i, k] = (m[i, k] - f * m[r, k]) % p
-        piv[r] = c
-        r += 1
-    return m, piv[:r]
-
-
-@njit(cache=True)
-def _nb_cover_dfs(n_edges, cyc_edges, cand, cand_len, budget):  # pragma: no cover - numba
-    need = n_edges // 4
-    covered = np.zeros(n_edges, dtype=np.bool_)
-    chosen = np.full(need, -1, dtype=np.int64)
-    it_stack = np.zeros(need, dtype=np.int64)
-    edge_stack = np.zeros(need, dtype=np.int64)
-    depth = 0
-    nodes = 0
-    if need == 0:
-        return 0, chosen, nodes
-    while True:
-        e = edge_stack[depth]
-        i = it_stack[depth]
-        advanced = False
-        while i < cand_len[e]:
-            j = cand[e, i]
-            e0 = cyc_edges[j, 0]
-            e1 = cyc_edges[j, 1]
-            e2 = cyc_edges[j, 2]
-            e3 = cyc_edges[j, 3]
-            if not (covered[e0] or covered[e1] or covered[e2] or covered[e3]):
-                nodes += 1
-                if nodes > budget:
-                    return 1, chosen, nodes
-                covered[e0] = True
-                covered[e1] = True
-                covered[e2] = True
-                covered[e3] = True
-                chosen[depth] = j
-                it_stack[depth] = i + 1
-                depth += 1
-                if depth == need:
-                    return 0, chosen, nodes
-                ne = e + 1
-                while covered[ne]:
-                    ne += 1
-                edge_stack[depth] = ne
-                it_stack[depth] = 0
-                advanced = True
-                break
-            i += 1
-        if advanced:
-            continue
-        it_stack[depth] = i
-        depth -= 1
-        if depth < 0:
-            return 2, chosen, nodes
-        j = chosen[depth]
-        covered[cyc_edges[j, 0]] = False
-        covered[cyc_edges[j, 1]] = False
-        covered[cyc_edges[j, 2]] = False
-        covered[cyc_edges[j, 3]] = False
-        chosen[depth] = -1
-
-
-def _numba_greedy_rank_filter(vectors: np.ndarray, p: int) -> np.ndarray:
-    a = np.ascontiguousarray(vectors, dtype=np.int64) % p
-    return _nb_greedy_rank_filter(a, np.int64(p))
-
-
-def _numba_modp_rank(a: np.ndarray, p: int) -> int:
-    return int(_numba_greedy_rank_filter(a, p).size)
-
-
-def _numba_modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    m = np.ascontiguousarray(a, dtype=np.int64) % p
-    m, piv = _nb_modp_rref(m, np.int64(p))
-    return m, piv
-
-
-def _numba_cover_dfs(n_edges, cyc_edges, cand, cand_len, budget):
-    status, chosen, nodes = _nb_cover_dfs(
-        np.int64(n_edges),
-        np.ascontiguousarray(cyc_edges, dtype=np.int64),
-        np.ascontiguousarray(cand, dtype=np.int64),
-        np.ascontiguousarray(cand_len, dtype=np.int64),
-        np.int64(budget),
-    )
-    return int(status), chosen, int(nodes)
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-
-_IMPLS = {
-    "numpy": {
-        "greedy_rank_filter": _np_greedy_rank_filter,
-        "modp_rank": _np_modp_rank,
-        "modp_rref": _np_modp_rref,
-        "cover_dfs": _np_cover_dfs,
-    },
-}
-if HAVE_NUMBA:
-    _IMPLS["numba"] = {
-        "greedy_rank_filter": _numba_greedy_rank_filter,
-        "modp_rank": _numba_modp_rank,
-        "modp_rref": _numba_modp_rref,
-        "cover_dfs": _numba_cover_dfs,
-    }
-
-_active = "numba" if HAVE_NUMBA and _env_wants_jit() else "numpy"
-
-
-def use_backend(name: str) -> None:
-    """Switch the active backend ("numpy" or "numba")."""
-    global _active
-    if name not in _IMPLS:
-        raise ValueError(f"unknown or unavailable backend {name!r}; have {sorted(_IMPLS)}")
-    _active = name
-
-
 def active_backend() -> str:
-    return _active
-
-
-def available_backends() -> list[str]:
-    return sorted(_IMPLS)
-
-
-def greedy_rank_filter(vectors: np.ndarray, p: int) -> np.ndarray:
-    """Indices of rows that increase the mod-p rank, scanned in row order."""
-    return _IMPLS[_active]["greedy_rank_filter"](vectors, p)
-
-
-def modp_rank(a: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix mod p."""
-    return _IMPLS[_active]["modp_rank"](a, p)
-
-
-def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form mod p: (rref, pivot columns)."""
-    return _IMPLS[_active]["modp_rref"](a, p)
-
-
-def cover_dfs(n_edges, cyc_edges, cand, cand_len, budget):
-    """Exact cover DFS over 4-cycles: (status, chosen, nodes)."""
-    return _IMPLS[_active]["cover_dfs"](n_edges, cyc_edges, cand, cand_len, budget)
+    """Name of the kernel implementation, recorded with benchmark results."""
+    return "numpy"
 
 
 def modp_matvec(e: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     """(e @ v) mod p without int64 overflow.
 
     v is split into 16-bit halves so each partial sum stays below 2**56
-    even for rows of several thousand entries. Shared by both backends,
-    the numpy matmul is already the fast path.
+    even for rows of several thousand entries.
     """
     vm = np.asarray(v, dtype=np.int64) % p
     hi = vm >> 16

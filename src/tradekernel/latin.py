@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import FormatError, IdenticalSquaresError, KernelMembershipError
+from .errors import FormatError, IdenticalSquaresError, KernelMembershipError, VerificationError
 from .exactla import SparseIntMatrix
 
 
@@ -318,14 +318,16 @@ def _first_violated_line(v: TripleVector) -> Optional[tuple[int, str, int]]:
 
 
 def trade_vector(t: LatinTrade) -> TripleVector:
-    """+1 on P, -1 on Q. Kernel membership (all line sums zero) is asserted."""
+    """+1 on P, -1 on Q. Kernel membership (all line sums zero) is checked."""
     v = np.zeros(t.n**3, dtype=np.int64)
     for i, j, k in t.p.triples:
         v[triple_index(t.n, i, j, k)] += 1
     for i, j, k in t.q.triples:
         v[triple_index(t.n, i, j, k)] -= 1
     out = TripleVector(t.n, v)
-    assert _first_violated_line(out) is None
+    bad = _first_violated_line(out)
+    if bad is not None:
+        raise VerificationError(f"trade vector is not in the kernel: line {bad[1]} sums to {bad[2]}")
     return out
 
 
@@ -367,7 +369,7 @@ def decompose(v: TripleVector) -> dict[tuple[int, int, int], int]:
 
     The basis is triangular on the block i,j,k >= 1: B_ijk is the only
     member supported on (i,j,k) there, with entry -1, so c_ijk = -v[i,j,k].
-    The reconstruction is asserted before returning, which is what makes
+    The reconstruction is checked before returning, which is what makes
     the closed form trustworthy.
     """
     bad = _first_violated_line(v)
@@ -384,7 +386,8 @@ def decompose(v: TripleVector) -> dict[tuple[int, int, int], int]:
                 if c:
                     coeffs[(i, j, k)] = c
                     recon += c * intercalate_vector(i, j, k, n).entries
-    assert np.array_equal(recon, v.entries)
+    if not np.array_equal(recon, v.entries):
+        raise VerificationError("intercalate coefficients do not reconstruct the vector")
     return coeffs
 
 
@@ -457,7 +460,8 @@ def transform(l1: LatinSquare, l2: LatinSquare) -> MovePlan:
     for sign, i, j, k in moves:
         state = apply_move(state, i, j, k, sign)
         counts.append(state.improper_count())
-    assert state == goal
+    if state != goal:
+        raise VerificationError("replaying the move plan does not reach the goal square")
     return MovePlan(l1.n, tuple(moves), tuple(counts))
 
 

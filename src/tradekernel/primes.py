@@ -6,6 +6,7 @@ two residues fits comfortably in int64 and rank-one update eliminations
 never overflow.
 """
 
+import functools
 import random
 
 # Seed for the package-internal prime stream. Certificates and cached
@@ -40,8 +41,12 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def sample_primes(count: int, seed: int = PRIME_SEED, lo: int = 2**30, hi: int = 2**31 - 1) -> list[int]:
-    """Return `count` distinct primes in [lo, hi], reproducibly for a seed."""
+@functools.lru_cache(maxsize=None)
+def sample_primes(count: int, seed: int = PRIME_SEED, lo: int = 2**30, hi: int = 2**31 - 1) -> tuple[int, ...]:
+    """Return `count` distinct primes in [lo, hi], reproducibly for a seed.
+
+    Cached: every decomposition draws the same primes.
+    """
     rng = random.Random(seed)
     out: list[int] = []
     seen: set[int] = set()
@@ -52,9 +57,9 @@ def sample_primes(count: int, seed: int = PRIME_SEED, lo: int = 2**30, hi: int =
         seen.add(c)
         if is_probable_prime(c):
             out.append(c)
-    return out
+    return tuple(out)
 
 
-def default_primes(count: int = 3) -> list[int]:
+def default_primes(count: int = 3) -> tuple[int, ...]:
     """The package's standard prime list (seeded, stable across runs)."""
     return sample_primes(count)

@@ -96,6 +96,22 @@ class TestExitCodes:
         assert rep["payload"]["valid"] is False
 
 
+def run_process(argv):
+    """Run the CLI in a fresh interpreter; leading NAME=value items set the environment."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tradekernel.__file__)))
+    while argv and "=" in argv[0]:
+        name, _, value = argv[0].partition("=")
+        env[name] = value
+        argv = argv[1:]
+    return subprocess.run(
+        [sys.executable, "-m", "tradekernel.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -103,20 +119,62 @@ class TestExitCodes:
         ["cycles", "rank", "--n", "2"],
         ["cycles", "basis", "--n", "3"],
         ["latin", "rank", "--n", "0"],
+        ["linalg", "rank", "--matrix", "m.txt", "--mod", "4"],
+        ["latin", "rank", "--n", "3", "--mod", "1"],
+        ["cycles", "rank", "--n", "6", "--mod", str(2**31)],
+        ["TRADE_KERNEL_BUDGET=abc", "cycles", "find", "--n", "9"],
     ],
 )
 def test_order_below_minimum_is_usage_error(argv):
+    # every input checked at parse time is refused with a usage message naming it
+    out = run_process(argv)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("usage: tradekernel")
+    bad = argv[0].partition("=")[0] if "=" in argv[0] else f"argument {argv[-2]}: "
+    assert bad in out.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("n", ["0", "5"])
+def test_diamonds_below_six_is_quiet(n):
+    out = run_process(["cycles", "diamonds", "--n", n])
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["payload"]["count"] == 0
+    assert out.stderr == ""
+
+
+def test_verification_failure_is_exit_3_under_optimize(tmp_path):
+    # a corrupted coefficient makes the replay miss the goal; under -O the
+    # check must still fire and the CLI must report it with exit code 3
+    files = []
+    for t, shift in enumerate((1, 2)):
+        sq = latin.LatinSquare([[(i * shift + j) % 5 for j in range(5)] for i in range(5)])
+        files.append(tmp_path / f"s{t}.sq")
+        files[-1].write_text(latin.format_square(sq))
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are live'\n"
+        "from tradekernel import cli, latin\n"
+        "decompose = latin.decompose\n"
+        "def corrupt(v):\n"
+        "    coeffs = decompose(v)\n"
+        "    coeffs[min(coeffs)] += 1\n"
+        "    return coeffs\n"
+        "latin.decompose = corrupt\n"
+        f"sys.exit(cli.main(['latin', 'transform', '--a', '{files[0]}', '--b', '{files[1]}']))\n"
+    )
     src = os.path.dirname(os.path.dirname(tradekernel.__file__))
     out = subprocess.run(
-        [sys.executable, "-m", "tradekernel.cli", *argv],
+        [sys.executable, "-O", "-c", script],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert out.returncode == 2
-    assert "Traceback" not in out.stderr
-    assert "argument --n: must be at least" in out.stderr
+    assert out.returncode == 3, out.stderr
+    payload = json.loads(out.stdout)["payload"]
+    assert payload["error"] == "Verification"
+    assert "does not reach the goal square" in payload["message"]
 
 
 # sha256 of json.dumps(payload, sort_keys=True), recorded with the dense

@@ -268,6 +268,11 @@ class TestDecompose:
         assert dict(dec.support()) == {
             i: Fraction(c) for i, c in sorted(coeffs.items()) if c
         }
+        sel = cycles._diamond_basis_indices(6)
+        assert cycles._verify_recombination(6, sel, dec.coefficients, v)
+        corrupted = list(dec.coefficients)
+        corrupted[0] += Fraction(1, 3)
+        assert not cycles._verify_recombination(6, sel, corrupted, v)
 
     def test_zero_vector(self):
         dec = decompose_trade(cycles.CycleVector(6))
@@ -340,6 +345,15 @@ class TestMoves:
         cs = find_cycle_system(9)
         plan = transform(cs, cs, mode="virtual")
         assert plan.moves == ()
+
+    def test_replay_that_misses_the_goal_raises(self):
+        cs = find_cycle_system(9)
+        start = Counter({c: 1 for c in cs.cycles})
+        sign, d = cycles._config_pair_moves(*cycles.diamond_config_pairs(cs)[0])[0]
+        goal = apply_diamond_move(start, d, sign)
+        assert cycles._replay_virtual(start, goal, [(sign, d)]) == (0,)
+        with pytest.raises(VerificationError):
+            cycles._replay_virtual(start, goal, [])
 
     def test_transform_single_move_pair(self):
         # hand-build two systems one diamond move apart

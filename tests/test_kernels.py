@@ -1,34 +1,14 @@
-"""Backend dispatch and numpy/numba parity for the hot kernels."""
+"""The modular elimination kernels."""
 
 import numpy as np
-import pytest
 
 from tradekernel import kernels
 
 P = 2_147_483_629
 
-HAVE_NUMBA = "numba" in kernels.available_backends()
-
 
 def rng_matrix(rng, rows, cols, p):
     return (rng.integers(0, p, size=(rows, cols))).astype(np.int64)
-
-
-def test_backend_switch_round_trip():
-    orig = kernels.active_backend()
-    try:
-        kernels.use_backend("numpy")
-        assert kernels.active_backend() == "numpy"
-        if HAVE_NUMBA:
-            kernels.use_backend("numba")
-            assert kernels.active_backend() == "numba"
-    finally:
-        kernels.use_backend(orig)
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        kernels.use_backend("fortran")
 
 
 def test_modp_matvec_matches_exact():
@@ -40,66 +20,6 @@ def test_modp_matvec_matches_exact():
         [sum(int(a) * int(b) for a, b in zip(row, v)) % P for row in e], dtype=np.int64
     )
     assert np.array_equal(got, want)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend unavailable")
-class TestParity:
-    """Both backends must agree bit for bit."""
-
-    def run_both(self, fn_name, *args):
-        orig = kernels.active_backend()
-        out = {}
-        try:
-            for b in ("numpy", "numba"):
-                kernels.use_backend(b)
-                fn = getattr(kernels, fn_name)
-                out[b] = fn(*[a.copy() if isinstance(a, np.ndarray) else a for a in args])
-        finally:
-            kernels.use_backend(orig)
-        return out["numpy"], out["numba"]
-
-    def test_modp_rank(self):
-        rng = np.random.default_rng(11)
-        for rows, cols in [(5, 8), (20, 12), (30, 30)]:
-            a = rng_matrix(rng, rows, cols, P)
-            a[rows // 2] = a[0]  # force a dependency
-            r1, r2 = self.run_both("modp_rank", a, P)
-            assert r1 == r2
-
-    def test_modp_rref(self):
-        rng = np.random.default_rng(13)
-        a = rng_matrix(rng, 10, 14, P)
-        (m1, p1), (m2, p2) = self.run_both("modp_rref", a, P)
-        assert np.array_equal(m1, m2)
-        assert list(p1) == list(p2)
-
-    def test_greedy_rank_filter(self):
-        rng = np.random.default_rng(17)
-        a = rng_matrix(rng, 12, 9, P)
-        a[3] = (2 * a[1] + 5 * a[2]) % P
-        a[7] = a[0]
-        s1, s2 = self.run_both("greedy_rank_filter", a, P)
-        assert list(s1) == list(s2)
-
-    def test_cover_dfs(self):
-        # the real K_9 cover instance, both backends
-        from tradekernel import cycles
-
-        n = 9
-        arr = cycles.cycle_edge_array(n)
-        by_edge = cycles._cycles_by_edge(n)
-        ne = cycles.edge_count(n)
-        maxdeg = max(len(b) for b in by_edge)
-        cand = np.full((ne, maxdeg), -1, dtype=np.int64)
-        cand_len = np.zeros(ne, dtype=np.int64)
-        for e, lst in enumerate(by_edge):
-            cand[e, : len(lst)] = lst
-            cand_len[e] = len(lst)
-        out1, out2 = self.run_both("cover_dfs", ne, arr, cand, cand_len, 1_000_000)
-        st1, ch1, _ = out1
-        st2, ch2, _ = out2
-        assert st1 == st2 == 0
-        assert list(ch1) == list(ch2)
 
 
 def test_rref_property_exactness():
