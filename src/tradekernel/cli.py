@@ -7,7 +7,7 @@ outside it). Integers above 2**53-1 and all rationals are serialized as
 strings so exactness survives JSON. Exit codes: 0 success, 1 for
 domain-negative outcomes (not admissible, not in span, search failure,
 invalid object under validate), 2 for usage or format errors (checked
-when the arguments are parsed where possible: --n, --mod and
+when the arguments are parsed where possible: --n, --mod, --jobs and
 TRADE_KERNEL_BUDGET), 3 when an internal exactness check fails
 (VerificationError). Exit codes 1 and 3 print a report whose payload
 names the error.
@@ -20,7 +20,9 @@ import json
 import os
 import sys
 import time
+import warnings
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -116,7 +118,7 @@ def _move_line(sign: int, d: cycles.DoubleDiamond) -> str:
 
 
 def _order(minimum: int):
-    """argparse type for --n: an integer of at least `minimum`, else a usage error (exit 2)."""
+    """argparse type for --n (and --jobs): an integer of at least `minimum`, else a usage error (exit 2)."""
 
     def order(text: str) -> int:
         try:
@@ -142,7 +144,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=cycles.DEFAULT_SEED, help="seed for stochastic operations")
     p.add_argument("--budget", type=int, default=None, help="node budget for searches")
     p.add_argument("--mode", choices=["strict", "lifted", "virtual"], default="virtual")
-    p.add_argument("--jobs", type=int, default=1, help="parallel restarts for stochastic searches")
+    p.add_argument("--jobs", type=_order(1), default=1, help="parallel restarts for stochastic searches")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="text", action="store_false", default=False)
     fmt.add_argument("--text", dest="text", action="store_true")
@@ -335,6 +337,15 @@ def _run_latin(args, command, t0):
     raise AssertionError(args.sub)
 
 
+def _pool_size(jobs: int, cpus: Optional[int]) -> int:
+    """Worker processes for `jobs` search chunks: at most one per CPU (cpus None: unknown, 1).
+
+    The chunks, and so the payload, follow the requested jobs; only how
+    many of them run at once depends on the machine.
+    """
+    return max(1, min(jobs, cpus or 1))
+
+
 def _diamond_free_chunk(params):
     n, seed, restarts, budget = params
     out = cycles.search_diamond_free(n, seed=seed, restarts=restarts, budget=budget)
@@ -393,7 +404,10 @@ def _run_cycles(args, command, t0):
             raise _Negative(payload)
         return payload, {"n": args.n}, None
     if args.sub == "basis":
-        basis = cycles.diamond_basis(args.n)
+        with warnings.catch_warnings():
+            # below order 6 the empty diamond family is the answer, not a warning
+            warnings.simplefilter("ignore")
+            basis = cycles.diamond_basis(args.n)
         return (
             {
                 "n": args.n,
@@ -445,13 +459,14 @@ def _run_cycles(args, command, t0):
         if args.n % 8 != 1 or args.n < 1:
             raise NotAdmissibleError(args.n)
         if args.jobs > 1:
-            # deterministic split: worker i gets seed + i*1000003 and an
+            # deterministic split: chunk i gets seed + i*1000003 and an
             # equal share of restarts; smallest successful index wins
             share = (args.restarts + args.jobs - 1) // args.jobs
             params = [
                 (args.n, args.seed + i * 1000003, share, args.budget) for i in range(args.jobs)
             ]
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+            workers = _pool_size(args.jobs, os.cpu_count())
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
                 results = list(ex.map(_diamond_free_chunk, params))
             chosen = next((r for r in results if r[0] == "ok"), None)
             if chosen is None:

@@ -109,7 +109,7 @@ class FourCycle(NamedTuple):
     def diagonals(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """The two non-adjacent vertex pairs, each sorted."""
         a, b, c, d = self
-        return ((min(a, c), max(a, c)), (min(b, d), max(b, d)))
+        return ((a, c) if a < c else (c, a), (b, d) if b < d else (d, b))
 
     def is_canonical(self) -> bool:
         a, b, c, d = self
@@ -400,7 +400,10 @@ class DoubleDiamond:
         a, b = self.poles
         out = []
         for i, j in PAIRINGS[pairing]:
-            out.append(canonical_cycle((a, self.middles[i], b, self.middles[j])))
+            x, y = self.middles[i], self.middles[j]
+            # canonical form of the cycle a-x-b-y: with a < b and x < y the
+            # smaller of a and x is its least vertex
+            out.append(FourCycle(a, x, b, y) if a < x else FourCycle(x, a, y, b))
         return tuple(out)
 
     def source_cycles(self) -> tuple[FourCycle, FourCycle]:
@@ -408,6 +411,12 @@ class DoubleDiamond:
 
     def target_cycles(self) -> tuple[FourCycle, FourCycle]:
         return self._cycles_of(self.target)
+
+    def move_cycles(self, sign: int) -> tuple[tuple[FourCycle, FourCycle], tuple[FourCycle, FourCycle]]:
+        """(removed, added) cycles of the signed move: +1 swaps target for source."""
+        if sign == 1:
+            return self.target_cycles(), self.source_cycles()
+        return self.source_cycles(), self.target_cycles()
 
     def trade_pair(self, n: int) -> CycleTradePair:
         return CycleTradePair(n, self.source_cycles(), self.target_cycles())
@@ -703,16 +712,18 @@ def decompose_trade(v: CycleVector) -> DiamondDecomposition:
 # system construction
 
 
-def _cycles_by_edge(n: int) -> list[list[int]]:
+@functools.lru_cache(maxsize=None)
+def _cycles_by_edge(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per edge, the indices of the cycles through it, in enumeration order."""
     arr = cycle_edge_array(n)
     by_edge: list[list[int]] = [[] for _ in range(edge_count(n))]
-    for ci in range(arr.shape[0]):
-        for e in arr[ci]:
-            by_edge[int(e)].append(ci)
-    return by_edge
+    for ci, edges in enumerate(arr.tolist()):
+        for e in edges:
+            by_edge[e].append(ci)
+    return tuple(tuple(b) for b in by_edge)
 
 
-def _run_cover(n: int, by_edge: list[list[int]], budget: int) -> CycleSystem:
+def _run_cover(n: int, by_edge: Sequence[Sequence[int]], budget: int) -> CycleSystem:
     arr = cycle_edge_array(n)
     ne = edge_count(n)
     maxdeg = max((len(b) for b in by_edge), default=0)
@@ -745,7 +756,7 @@ def find_cycle_system(n: int, budget: Optional[int] = None) -> CycleSystem:
 
 
 def _find_system_shuffled(n: int, rng: random.Random, budget: int) -> CycleSystem:
-    by_edge = [list(b) for b in _cycles_by_edge(n)]
+    by_edge = [list(b) for b in _cycles_by_edge(n)]  # same order as the cached table, so the same draws
     for b in by_edge:
         rng.shuffle(b)
     return _run_cover(n, by_edge, budget)
@@ -755,28 +766,78 @@ def _find_system_shuffled(n: int, rng: random.Random, budget: int) -> CycleSyste
 # diamond configurations in a system
 
 
-def _as_cycle_list(cs: Union[CycleSystem, Iterable[FourCycle]]) -> list[FourCycle]:
-    if isinstance(cs, CycleSystem):
-        return cs.sorted_cycles()
-    return sorted(set(cs))
+class _ConfigIndex:
+    """Diagonal -> cycles index of one cycle set, for its configuration pairs.
+
+    A configuration is an unordered cycle pair whose union is a K_{2,4}:
+    the two cycles share exactly two vertices and those form a diagonal
+    of both, so each pair sits under exactly one diagonal. A diamond move
+    swaps two cycles for two others, so the change in the pair count only
+    involves pairs touching those four cycles (move_delta).
+    """
+
+    def __init__(self, cycles: Iterable[FourCycle]):
+        self.by_diag: dict[tuple[int, int], list[FourCycle]] = {}
+        for c in cycles:
+            self.add(c)
+
+    def add(self, c: FourCycle) -> None:
+        for diag in c.diagonals():
+            group = self.by_diag.get(diag)
+            if group is None:
+                self.by_diag[diag] = [c]
+            else:
+                group.append(c)
+
+    def discard(self, c: FourCycle) -> None:
+        for diag in c.diagonals():
+            group = self.by_diag[diag]
+            group.remove(c)
+            if not group:
+                del self.by_diag[diag]
+
+    def pairs(self) -> list[tuple[FourCycle, FourCycle]]:
+        """All configuration pairs, by diagonal, then c1 < c2."""
+        out = []
+        for diag in sorted(self.by_diag):
+            group = self.by_diag[diag]
+            if len(group) > 1:
+                group.sort()
+                for c1, c2 in itertools.combinations(group, 2):
+                    if len({*c1, *c2}) == 6:
+                        out.append((c1, c2))
+        return out
+
+    def partners(self, c: FourCycle, skip: Sequence[FourCycle] = ()) -> int:
+        """Configuration pairs c forms with the indexed cycles other than c and those in skip."""
+        count = 0
+        for diag in c.diagonals():
+            for other in self.by_diag.get(diag, ()):
+                if other != c and other not in skip and len({*c, *other}) == 6:
+                    count += 1
+        return count
+
+    def move_delta(self, removal: Sequence[FourCycle], addition: Sequence[FourCycle]) -> int:
+        """Change in the pair count when the indexed removal cycles give way to the addition.
+
+        The addition cycles must not be indexed, which holds for every
+        move on a 4CS: they cover the edges the removal cycles cover.
+        """
+        r1, r2 = removal
+        a1, a2 = addition
+        lost = self.partners(r1) + self.partners(r2, (r1,))
+        gained = self.partners(a1, removal) + self.partners(a2, removal)
+        # the two cycles of one pairing share just the poles, a diagonal of both
+        return gained + 1 - lost
 
 
 def diamond_config_pairs(
     cs: Union[CycleSystem, Iterable[FourCycle]],
 ) -> list[tuple[FourCycle, FourCycle]]:
     """Unordered cycle pairs whose union is a K_{2,4}: exactly two shared
-    vertices, diagonal in both cycles. Accepts any cycle collection."""
-    cycles = _as_cycle_list(cs)
-    by_diag: dict[tuple[int, int], list[FourCycle]] = {}
-    for c in cycles:
-        for diag in c.diagonals():
-            by_diag.setdefault(diag, []).append(c)
-    out = []
-    for diag, group in sorted(by_diag.items()):
-        for c1, c2 in itertools.combinations(group, 2):
-            if len(c1.vertices() & c2.vertices()) == 2:
-                out.append((c1, c2))
-    return out
+    vertices, diagonal in both cycles. Accepts any cycle collection; the
+    pairs come by diagonal, then c1 < c2."""
+    return _ConfigIndex(cs.cycles if isinstance(cs, CycleSystem) else set(cs)).pairs()
 
 
 def count_double_diamond_configs(cs: Union[CycleSystem, Iterable[FourCycle]]) -> int:
@@ -790,20 +851,20 @@ def _config_pair_moves(
 
     The shared diagonal gives the poles; the pair's pairing index r can
     move to either other pairing t, encoded on the canonical diamond
-    (source < target) with sign +1 when r is the target side.
+    (source < target) with sign +1 when r is the target side. A pair that
+    is not a configuration raises ValueError.
     """
-    shared = c1.vertices() & c2.vertices()
-    poles = tuple(sorted(shared))
-    mids = tuple(sorted((c1.vertices() | c2.vertices()) - shared))
-    # identify which pairing of the middles matches the two cycles
-    have = {frozenset(c1.vertices() - shared), frozenset(c2.vertices() - shared)}
-    r = None
-    for pi, pairs in enumerate(PAIRINGS):
-        want = {frozenset((mids[i], mids[j])) for i, j in pairs}
-        if want == have:
-            r = pi
-            break
-    assert r is not None
+    diags1, diags2 = c1.diagonals(), c2.diagonals()
+    poles = tuple(sorted(set(c1).intersection(c2)))
+    if len(poles) != 2 or poles not in diags1 or poles not in diags2:
+        raise ValueError(f"{tuple(c1)} and {tuple(c2)} are not a double-diamond configuration")
+    # each cycle joins the poles through its other diagonal, a pair of middles
+    j1 = diags1[1] if diags1[0] == poles else diags1[0]
+    j2 = diags2[1] if diags2[0] == poles else diags2[0]
+    mids = tuple(sorted(j1 + j2))
+    # the pairing the two cycles realise is fixed by the middle joined to mids[0]:
+    # PAIRINGS[r] joins middle 0 to middle r + 1
+    r = mids.index(j1[1] if j1[0] == mids[0] else j2[1]) - 1
     out = []
     for t in range(3):
         if t == r:
@@ -813,6 +874,14 @@ def _config_pair_moves(
         else:
             out.append((-1, DoubleDiamond(poles, mids, r, t)))
     return out
+
+
+def _pair_moves(memo: dict, pair: tuple[FourCycle, FourCycle]) -> list:
+    """_config_pair_moves(*pair) as (sign, d, removed, added), memoized in a search's own dict."""
+    moves = memo.get(pair)
+    if moves is None:
+        moves = memo[pair] = [(sign, d, *d.move_cycles(sign)) for sign, d in _config_pair_moves(*pair)]
+    return moves
 
 
 def apply_diamond_move(
@@ -829,8 +898,7 @@ def apply_diamond_move(
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     cnt = Counter(state) if not isinstance(state, Mapping) else Counter(dict(state))
-    removal = d.target_cycles() if sign == 1 else d.source_cycles()
-    addition = d.source_cycles() if sign == 1 else d.target_cycles()
+    removal, addition = d.move_cycles(sign)
     missing = [c for c in removal if cnt[c] < 1]
     if missing:
         raise MissingCyclesError(missing)
@@ -876,24 +944,32 @@ def search_diamond_free(
     best = None
     for _ in range(restarts):
         state = set(_find_system_shuffled(n, rng, node_budget).cycles)
-        pairs = diamond_config_pairs(state)
+        index = _ConfigIndex(state)
+        memo: dict = {}
+        pairs = index.pairs()
         count = len(pairs)
         for _ in range(steps):
             if count == 0:
                 break
-            moves = []
-            for c1, c2 in pairs:
-                moves.extend(_config_pair_moves(c1, c2))
+            moves = [m for pair in pairs for m in _pair_moves(memo, pair)]
             rng.shuffle(moves)
-            accepted = False
-            for sign, d in moves:
-                nxt = set(apply_diamond_move({c: 1 for c in state}, d, sign))
-                npairs = diamond_config_pairs(nxt)
-                if len(npairs) <= count:
-                    state, pairs, count = nxt, npairs, len(npairs)
-                    accepted = True
+            for _, _, removal, addition in moves:
+                delta = index.move_delta(removal, addition)
+                if delta <= 0:
+                    for c in removal:
+                        index.discard(c)
+                        state.remove(c)
+                    for c in addition:
+                        index.add(c)
+                        state.add(c)
+                    pairs = index.pairs()
+                    if len(pairs) != count + delta:
+                        raise VerificationError(
+                            f"incremental configuration count {count + delta} != recount {len(pairs)}"
+                        )
+                    count = len(pairs)
                     break
-            if not accepted:
+            else:
                 break
         if best is None or count < best:
             best = count
@@ -957,8 +1033,7 @@ def _replay_virtual(start: Counter, goal: Counter, moves) -> tuple[int, ...]:
     state = Counter(start)
     audit = []
     for sign, d in moves:
-        removal = d.target_cycles() if sign == 1 else d.source_cycles()
-        addition = d.source_cycles() if sign == 1 else d.target_cycles()
+        removal, addition = d.move_cycles(sign)
         for c in removal:
             state[c] -= 1
         for c in addition:
@@ -978,8 +1053,7 @@ def _schedule_strict(start: Counter, goal: Counter, pending: list) -> list:
     while pending:
         chosen = None
         for idx, (sign, d) in enumerate(pending):
-            removal = d.target_cycles() if sign == 1 else d.source_cycles()
-            addition = d.source_cycles() if sign == 1 else d.target_cycles()
+            removal, addition = d.move_cycles(sign)
             if all(state[c] == 1 for c in removal) and all(state[c] == 0 for c in addition):
                 chosen = idx
                 break
@@ -995,16 +1069,36 @@ def _schedule_strict(start: Counter, goal: Counter, pending: list) -> list:
     return plan
 
 
-def _applicable_moves(state: Counter) -> list[tuple[int, DoubleDiamond]]:
-    moves = []
-    for c1, c2 in diamond_config_pairs([c for c, m in state.items() if m > 0]):
-        moves.extend(_config_pair_moves(c1, c2))
-    return moves
+def _multiset_distance(a: Mapping[FourCycle, int], b: Mapping[FourCycle, int]) -> int:
+    only_b = sum(abs(m) for k, m in b.items() if k not in a)
+    return sum(abs(m - b.get(k, 0)) for k, m in a.items()) + only_b
 
 
-def _multiset_distance(a: Counter, b: Counter) -> int:
-    keys = set(a) | set(b)
-    return sum(abs(a[k] - b[k]) for k in keys)
+def _child_state(
+    state: dict[FourCycle, int],
+    h: int,
+    want: Mapping[FourCycle, int],
+    removal: Sequence[FourCycle],
+    addition: Sequence[FourCycle],
+) -> tuple[dict[FourCycle, int], int]:
+    """The state after a move, and its distance to want given h, the state's own.
+
+    The removal cycles must be in state. Only the four moved cycles change
+    their terms of the distance, so h moves by the change in those terms.
+    """
+    child = dict(state)
+    for c in removal:
+        m, w = child[c], want.get(c, 0)
+        h += abs(m - 1 - w) - abs(m - w)
+        if m == 1:
+            del child[c]
+        else:
+            child[c] = m - 1
+    for c in addition:
+        m, w = child.get(c, 0), want.get(c, 0)
+        h += abs(m + 1 - w) - abs(m - w)
+        child[c] = m + 1
+    return child, h
 
 
 def _best_first_schedule(
@@ -1013,44 +1107,55 @@ def _best_first_schedule(
     """Best-first search over all applicable diamond moves.
 
     Priority 8*h + g with h the multiset L1 distance to the goal; a small
-    seeded jitter breaks ties reproducibly. Returns the move list or None
-    on budget exhaustion.
+    seeded jitter breaks ties reproducibly. A state is keyed by the sorted
+    tuple of its (cycle, multiplicity) items. The moves of a state are
+    those of the configuration pairs in its support; each pair's moves,
+    with the cycles they remove and add, are worked out once per call. A
+    child differs from its parent in those four cycles only: it is a copy
+    of the parent's dict with four entries changed, and its h is the
+    parent's h plus the change in the same four terms of the distance.
+    Returns the move list or None on budget exhaustion.
     """
     rng = random.Random(seed)
-    h0 = _multiset_distance(start, goal)
+    want = dict(goal)
+    h0 = _multiset_distance(start, want)
     if h0 == 0:
         return []
     key0 = tuple(sorted(start.items()))
     heap = [(8 * h0, 0, 0, key0)]
     parents: dict[tuple, Optional[tuple]] = {key0: None}
     gscore = {key0: 0}
+    memo: dict = {}
     counter = itertools.count(1)
     expanded = 0
     while heap:
         _, _, _, key = heapq.heappop(heap)
-        state = Counter(dict(key))
+        state = dict(key)
         g = gscore[key]
         expanded += 1
         if expanded > node_budget:
             return None
-        for sign, d in _applicable_moves(state):
-            child = apply_diamond_move(state, d, sign)
-            ckey = tuple(sorted(child.items()))
-            ng = g + 1
-            if ckey in gscore and gscore[ckey] <= ng:
-                continue
-            gscore[ckey] = ng
-            parents[ckey] = (key, (sign, d))
-            h = _multiset_distance(child, goal)
-            if h == 0:
-                path = [(sign, d)]
-                cur = key
-                while parents[cur] is not None:
-                    cur, mv = parents[cur]
-                    path.append(mv)
-                path.reverse()
-                return path
-            heapq.heappush(heap, (8 * h + ng, rng.randrange(16), next(counter), ckey))
+        h = _multiset_distance(state, want)
+        # every state holds positive multiplicities only, so its keys are its support
+        for pair in diamond_config_pairs(state):
+            for sign, d, removal, addition in _pair_moves(memo, pair):
+                child, ch = _child_state(state, h, want, removal, addition)
+                ckey = tuple(sorted(child.items()))
+                ng = g + 1
+                seen = gscore.get(ckey)
+                if seen is not None and seen <= ng:
+                    continue
+                gscore[ckey] = ng
+                parents[ckey] = (key, (sign, d))
+                if ch == 0:
+                    path = [(sign, d)]
+                    cur = key
+                    while parents[cur] is not None:
+                        cur, mv = parents[cur]
+                        path.append(mv)
+                    path.reverse()
+                    return path
+                heapq.heappush(heap, (8 * ch + ng, rng.randrange(16), next(counter), ckey))
     return None
 
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import tradekernel
-from tradekernel import cycles, latin
+from tradekernel import cli, cycles, latin
 from tradekernel.cli import main
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
@@ -123,6 +123,8 @@ def run_process(argv):
         ["latin", "rank", "--n", "3", "--mod", "1"],
         ["cycles", "rank", "--n", "6", "--mod", str(2**31)],
         ["TRADE_KERNEL_BUDGET=abc", "cycles", "find", "--n", "9"],
+        ["cycles", "diamond-free", "--n", "9", "--jobs", "-3"],
+        ["cycles", "diamond-free", "--n", "9", "--jobs", "0"],
     ],
 )
 def test_order_below_minimum_is_usage_error(argv):
@@ -135,12 +137,26 @@ def test_order_below_minimum_is_usage_error(argv):
     assert bad in out.stderr.splitlines()[-1]
 
 
-@pytest.mark.parametrize("n", ["0", "5"])
+@pytest.mark.parametrize("n", ["0", "4", "5"])
 def test_diamonds_below_six_is_quiet(n):
     out = run_process(["cycles", "diamonds", "--n", n])
     assert out.returncode == 0
     assert json.loads(out.stdout)["payload"]["count"] == 0
     assert out.stderr == ""
+    if int(n) >= 4:
+        # the empty basis at n=4, span deficiency (exit 1) at n=5
+        out = run_process(["cycles", "basis", "--n", n])
+        assert out.returncode == (0 if n == "4" else 1)
+        assert json.loads(out.stdout)["payload"]
+        assert out.stderr == ""
+
+
+def test_pool_size_is_clamped_to_cpus():
+    # the split into chunks follows --jobs; the workers running them never outnumber the CPUs
+    assert cli._pool_size(1, 8) == 1
+    assert cli._pool_size(3, 8) == 3
+    assert cli._pool_size(10**6, 2) == 2
+    assert cli._pool_size(4, None) == 1
 
 
 def test_verification_failure_is_exit_3_under_optimize(tmp_path):

@@ -1,5 +1,6 @@
 """4-cycle systems, trades, double-diamonds, moves, and searches."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -176,6 +177,17 @@ class TestDiamonds:
             assert tp.volume == 2
             assert tp.foundation == 6
 
+    def test_pairing_cycles_are_canonical(self):
+        # the direct canonical form of a-x-b-y against the general canonicalizer
+        for d in enumerate_double_diamonds(7):
+            a, b = d.poles
+            for r in range(3):
+                pairing = cycles.PAIRINGS[r]
+                want = tuple(canonical_cycle((a, d.middles[i], b, d.middles[j])) for i, j in pairing)
+                assert d._cycles_of(r) == want
+            assert d.move_cycles(1) == (d.target_cycles(), d.source_cycles())
+            assert d.move_cycles(-1) == (d.source_cycles(), d.target_cycles())
+
     def test_vector_edge_balance(self):
         d = enumerate_double_diamonds(7)[100]
         v = diamond_vector(d, 7)
@@ -327,6 +339,46 @@ class TestConfigCounting:
         assert count_double_diamond_configs(relabeled) == count_double_diamond_configs(cs)
 
 
+    @settings(deadline=None, max_examples=25)
+    @given(st.sampled_from([9, 17]), st.randoms(use_true_random=False))
+    def test_move_delta_matches_recount(self, n, rng):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        state = {canonical_cycle([perm[v] for v in c]) for c in find_cycle_system(n).cycles}
+        index = cycles._ConfigIndex(state)
+        count = count_double_diamond_configs(state)
+        for _ in range(12):
+            pairs = cycles.diamond_config_pairs(state)
+            assert index.pairs() == pairs
+            if not pairs:
+                break
+            sign, d = rng.choice(cycles._config_pair_moves(*rng.choice(pairs)))
+            removal, addition = d.move_cycles(sign)
+            count += index.move_delta(removal, addition)
+            for c in removal:
+                index.discard(c)
+                state.remove(c)
+            for c in addition:
+                index.add(c)
+                state.add(c)
+            assert count == count_double_diamond_configs(state) == config_count_oracle(state)
+
+    def test_pair_moves_reject_non_configurations(self):
+        A = canonical_cycle((0, 2, 1, 3))  # diagonals {0,1}, {2,3}
+        E = canonical_cycle((0, 1, 2, 3))  # diagonals {0,2}, {1,3}
+        F = canonical_cycle((0, 1, 4, 5))  # diagonals {0,4}, {1,5}
+        assert len(cycles._config_pair_moves(A, canonical_cycle((0, 4, 1, 5)))) == 2
+        for c1, c2 in [
+            (A, A),  # one cycle
+            (E, F),  # {0,1} is an edge of both
+            (A, F),  # {0,1} is a diagonal of A but an edge of F
+            (E, canonical_cycle((0, 1, 2, 4))),  # three shared vertices
+            (E, canonical_cycle((4, 5, 6, 7))),  # disjoint
+        ]:
+            with pytest.raises(ValueError, match="not a double-diamond configuration"):
+                cycles._config_pair_moves(c1, c2)
+
+
 class TestMoves:
     def test_apply_move_swaps_pairing(self):
         d = enumerate_double_diamonds(6)[0]
@@ -335,6 +387,27 @@ class TestMoves:
         assert out == Counter({c: 1 for c in d.source_cycles()})
         back = apply_diamond_move(out, d, -1)
         assert back == state
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.randoms(use_true_random=False))
+    def test_child_state_matches_replay_and_distance(self, rng):
+        # multisets like the lifted search's: a system plus copies of a relabelled one
+        base = find_cycle_system(9)
+        perm = list(range(9))
+        rng.shuffle(perm)
+        other = [canonical_cycle([perm[v] for v in c]) for c in base.cycles]
+        state = Counter(base.cycles) + Counter({c: rng.randint(0, 2) for c in other})
+        want = +Counter({c: rng.randint(0, 2) for c in [*base.cycles, *other]})
+        h = cycles._multiset_distance(state, want)
+        for _ in range(10):
+            pairs = cycles.diamond_config_pairs(state)
+            if not pairs:
+                break
+            sign, d = rng.choice(cycles._config_pair_moves(*rng.choice(pairs)))
+            child, h = cycles._child_state(dict(state), h, want, *d.move_cycles(sign))
+            state = apply_diamond_move(state, d, sign)
+            assert child == state
+            assert h == cycles._multiset_distance(state, want)
 
     def test_move_requires_cycles_present(self):
         d = enumerate_double_diamonds(6)[0]
@@ -423,6 +496,56 @@ class TestDiamondFreeSearch:
             assert a == b
         else:
             assert a == b
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded before the configuration counts of both searches became
+# incremental: for a fixed seed they must return the same systems, counts
+# and plans. Search: sha256 of format_cycle_system of the result.
+SEARCH9_SHA256 = {
+    1: "0ed297d41ff9b32e3664bcf39516ff4e42ab861a39ac8ca78446bd10963b1dc3",
+    2: "bb99927b27a6337d66ddd0d7af31408d6f9a0b261d200b200bac0edb52683196",
+    3: "d9a9778ac2c3c85d29f1d9faecd1cad0b741fc90ffe6f61d711d0eb719470910",
+    4: "088d9cb274b662c8b52d00d60eab549c211e7009a9aa7a389a4fd086afc96061",
+}
+SEARCH17_BEST_COUNT = {1: 10, 2: 10, 3: 8, 4: 12, 5: 10}
+# lifted plans: sha256 of format_cycle_move_plan, and the move count
+LIFTED_CRITERION7 = ("e113caf2620be495b44223452f6ec17c11952b0f0ca56a2e3cd8ad7ce40aca74", 37)
+LIFTED_RELABELLED = {
+    (2, 1, 5, 7, 8, 6, 3, 0, 4): ("4615b07bc8f759b72aa6ce12f7d2beaab73bb7347faf2e9bb7562560a38fb4a1", 25),
+    (8, 7, 4, 3, 0, 5, 6, 1, 2): ("7f9a1ace7c979eb6c887c47702c59e899606ea22390a69c7a49488af78350d2a", 19),
+}
+
+
+class TestSearchGolden:
+    @pytest.mark.parametrize("seed", sorted(SEARCH9_SHA256))
+    def test_diamond_free_9(self, seed):
+        out = search_diamond_free(9, seed=seed)
+        assert isinstance(out, CycleSystem)
+        assert _sha256(cycles.format_cycle_system(out)) == SEARCH9_SHA256[seed]
+
+    def test_best_count_17(self):
+        got = {s: search_diamond_free(17, seed=s, restarts=1).best_count for s in SEARCH17_BEST_COUNT}
+        assert got == SEARCH17_BEST_COUNT
+
+    def test_lifted_criterion7_pair(self):
+        # the one integral pair among criterion 7's twenty (seed 1000 + 7)
+        rng = random.Random(1007)
+        cs1 = cycles._find_system_shuffled(9, rng, 10**6)
+        cs2 = cycles._find_system_shuffled(9, rng, 10**6)
+        plan = transform(cs1, cs2, mode="lifted", seed=7)
+        assert (_sha256(cycles.format_cycle_move_plan(plan)), len(plan.moves)) == LIFTED_CRITERION7
+
+    @pytest.mark.parametrize("perm", sorted(LIFTED_RELABELLED))
+    def test_lifted_relabelled(self, perm):
+        base = find_cycle_system(9)
+        other = CycleSystem(9, [canonical_cycle([perm[v] for v in c]) for c in base.cycles])
+        plan = transform(base, other, mode="lifted")
+        assert plan.lam == 1
+        assert (_sha256(cycles.format_cycle_move_plan(plan)), len(plan.moves)) == LIFTED_RELABELLED[perm]
 
 
 class TestFormats:
