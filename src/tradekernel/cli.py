@@ -68,8 +68,11 @@ def _jsonable(x):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path} is not UTF-8 text: {e}") from e
 
 
 def _digest(parts: dict) -> str:
@@ -294,6 +297,8 @@ def _run_latin(args, command, t0):
     if args.sub == "transform":
         ta, tb = _read(args.a), _read(args.b)
         l1, l2 = latin.parse_square(ta), latin.parse_square(tb)
+        if l1.n != l2.n:
+            raise FormatError("squares have different orders")
         plan = latin.transform(l1, l2)
         payload = {
             "n": plan.n,
@@ -505,6 +510,8 @@ def _run_cycles(args, command, t0):
     if args.sub == "transform":
         ta, tb = _read(args.a), _read(args.b)
         s1, s2 = cycles.parse_cycle_system(ta), cycles.parse_cycle_system(tb)
+        if s1.n != s2.n:
+            raise FormatError("systems have different orders")
         out = cycles.transform(
             s1, s2, mode=args.mode, lam_max=args.lam_max, seed=args.seed, budget=args.budget
         )
@@ -593,6 +600,8 @@ def _run_linalg(args, command, t0):
         ma, mb = exactla.parse_matrix(ta), exactla.parse_matrix(tb)
         if ma.n_cols != mb.n_cols:
             raise FormatError("generator files have different ambient dimensions")
+        if ma.n_cols > exactla.LATTICE_DIM_CAP:
+            raise FormatError(f"ambient dimension {ma.n_cols} exceeds the cap of {exactla.LATTICE_DIM_CAP}")
         equal = exactla.lattice_equal(ma.to_dense(), mb.to_dense())
         return {"cols": ma.n_cols, "equal": equal}, {"a": ta, "b": tb}, None
     raise AssertionError(args.sub)

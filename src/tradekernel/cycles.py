@@ -13,11 +13,12 @@ trade whose edge union is the K_{2,4} on poles x middles. Identity is
 kept unordered (source index < target index in enumeration); direction
 is carried by the sign of a move.
 
-The diamond span rank and basis come from one exact elimination over Z
-of the 4-sparse diamond rows, cross-checked by a mod-p rank on one
-prime. Decompositions are solved modulo seeded 31-bit primes and
-verified by exact recombination before being returned. Every such check
-raises VerificationError, never asserts, so `python -O` keeps it.
+One exact elimination over Z of the 4-sparse diamond rows (SparseEchelon)
+gives the diamond span rank, the basis, and the coordinates of any
+kernel vector over that basis. The selected rows are cross-checked by a
+mod-p rank on one prime, and every decomposition by exact recombination
+before it is returned. Every such check raises VerificationError, never
+asserts, so `python -O` keeps it.
 """
 
 import functools
@@ -46,8 +47,10 @@ from .errors import (
     VerificationError,
 )
 from .exactla import SparseEchelon, SparseIntMatrix, rank_exact_dense
-from .exactla import coefficients_in_span  # noqa: F401  (perfbench/tracing.py wraps cycles.coefficients_in_span)
-from .primes import default_primes, sample_primes
+# perfbench/tracing.py wraps cycles.coefficients_in_span and cycles.sample_primes
+from .exactla import coefficients_in_span  # noqa: F401
+from .primes import default_primes
+from .primes import sample_primes  # noqa: F401
 
 DEFAULT_SEED = 1
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -448,27 +451,25 @@ def enumerate_double_diamonds(n: int) -> list[DoubleDiamond]:
 
 
 @functools.lru_cache(maxsize=None)
-def _diamond_stack(n: int) -> tuple[tuple[DoubleDiamond, ...], np.ndarray]:
-    """(diamonds, stacked vectors) with one row per enumerated diamond.
+def _diamond_stack(n: int) -> tuple[tuple[DoubleDiamond, ...], tuple[dict[int, int], ...]]:
+    """(diamonds, rows): per enumerated diamond its vector as {cycle index: +-1}.
 
     Every row is checked to lie in ker M (both sides cover the same eight
     K_{2,4} edges), so the rank of any set of rows is at most dim ker M.
     """
     diamonds = tuple(enumerate_double_diamonds(n))
     idx = cycle_index_map(n) if n >= 4 else {}
-    stack = np.zeros((len(diamonds), 3 * math.comb(n, 4)), dtype=np.int64)
-    for r, d in enumerate(diamonds):
+    rows = []
+    for d in diamonds:
         src = d.source_cycles()
         tgt = d.target_cycles()
         if Counter(e for c in src for e in c.edge_pairs()) != Counter(
             e for c in tgt for e in c.edge_pairs()
         ):
             raise VerificationError(f"diamond {d} is not edge-balanced, so not in ker M")
-        for c in src:
-            stack[r, idx[c]] += 1
-        for c in tgt:
-            stack[r, idx[c]] -= 1
-    return diamonds, stack
+        # the two pairings are distinct, so the four cycles are too
+        rows.append({idx[src[0]]: 1, idx[src[1]]: 1, idx[tgt[0]]: -1, idx[tgt[1]]: -1})
+    return diamonds, tuple(rows)
 
 
 # the `cycles span` payload labels diamond families up to this size "exact"
@@ -487,20 +488,23 @@ def _diamond_selection(n: int) -> tuple[int, ...]:
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        diamonds, stack = _diamond_stack(n)
+        diamonds, rows = _diamond_stack(n)
     if not diamonds:
         return ()
     need = kernel_dimension(n)
     echelon = SparseEchelon()
     sel = []
-    for i, row in enumerate(stack):
+    for i, row in enumerate(rows):
         if len(sel) == need:
             break
-        cols = np.flatnonzero(row)
-        if echelon.add(dict(zip(cols.tolist(), row[cols].tolist()))):
+        if echelon.add(row):
             sel.append(i)
+    selected = np.zeros((len(sel), 3 * math.comb(n, 4)), dtype=np.int64)
+    for r, i in enumerate(sel):
+        for c, v in rows[i].items():
+            selected[r, c] = v
     p = default_primes(1)[0]
-    rank_p = kernels.modp_rank(stack[sel], p)
+    rank_p = kernels.modp_rank(selected, p)
     if rank_p != len(sel):
         raise VerificationError(
             f"n={n}: {len(sel)} diamonds selected as independent, but their rank mod {p} is {rank_p}"
@@ -563,100 +567,19 @@ def _assert_kernel_member(v: CycleVector) -> None:
             raise KernelMembershipError(r, f"edge ({u},{w})", val)
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    g, s, _ = _ext_gcd(m1, m2)
-    if g != 1:
-        raise VerificationError(f"CRT moduli {m1} and {m2} are not coprime")
-    m = m1 * m2
-    x = (r1 + (r2 - r1) * s % m2 * m1) % m
-    return x, m
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
-    """The unique p/q with |p|, q <= sqrt(m/2) and p = a q (mod m), if any."""
-    a %= m
-    bound = math.isqrt(m // 2)
-    r0, r1 = m, a
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    p, q = r1, s1
-    if q < 0:
-        p, q = -p, -q
-    if q == 0 or q > bound or math.gcd(p, q) != 1:
-        return None
-    if (p - a * q) % m != 0:
-        return None
-    return Fraction(p, q)
-
-
 @functools.lru_cache(maxsize=None)
-def _solve_factor(n: int, p: int) -> Optional[np.ndarray]:
-    """E with E A = [I; 0] mod p for A = stacked basis columns, or None.
+def _solve_factor(n: int) -> SparseEchelon:
+    """SparseEchelon of the diamond_basis(n) rows, tagged by basis position.
 
-    RREF of [A | I]: the first rows of E read off coefficients of any
-    column-space member, the remaining rows are a consistency check. None
-    when p is unlucky (pivots fail to be exactly the basis columns).
+    Built once per n; its coordinates() are the exact coordinates of a
+    kernel vector over the basis.
     """
-    _, stack = _diamond_stack(n)
-    sel = _diamond_basis_indices(n)
-    a = stack[list(sel)].T % p
-    dim, nb = a.shape
-    aug = np.concatenate([a, np.eye(dim, dtype=np.int64)], axis=1)
-    rref, piv = kernels.modp_rref(aug, p)
-    # the first nb pivots must be exactly the columns of A; later pivots
-    # fall in the identity block and only pad the consistency rows
-    if list(piv[:nb]) != list(range(nb)):
-        return None
-    return np.ascontiguousarray(rref[:, nb:])
-
-
-def _decompose_modular(v: CycleVector) -> tuple[Fraction, ...]:
-    n = v.n
-    sel = _diamond_basis_indices(n)
-    nb = len(sel)
-    residues: list[np.ndarray] = []
-    moduli: list[int] = []
-    for p in sample_primes(12):
-        e = _solve_factor(n, p)
-        if e is None:
-            continue
-        r = kernels.modp_matvec(e, v.entries, p)
-        if np.any(r[nb:]):
-            # v is in ker M exactly and the basis spans ker M, so a
-            # nonzero consistency row can only mean an unlucky prime
-            continue
-        residues.append(r[:nb].astype(object))
-        moduli.append(p)
-        if len(moduli) < 3:
-            continue
-        acc = residues[0]
-        mod = moduli[0]
-        for rr, pp in zip(residues[1:], moduli[1:]):
-            acc = np.array(
-                [_crt_pair(int(x), mod, int(y), pp)[0] for x, y in zip(acc, rr)], dtype=object
-            )
-            mod *= pp
-        coeffs = [_rational_reconstruct(int(x), mod) for x in acc]
-        if any(c is None for c in coeffs):
-            continue
-        if _verify_recombination(n, sel, coeffs, v):
-            return tuple(coeffs)
-    raise RuntimeError(f"modular decomposition failed to stabilize at n={n}")
+    _, rows = _diamond_stack(n)
+    echelon = SparseEchelon()
+    for pos, i in enumerate(_diamond_basis_indices(n)):
+        if not echelon.add(rows[i], tag=pos):
+            raise VerificationError(f"n={n}: basis diamond {pos} is dependent on the ones before it")
+    return echelon
 
 
 def _verify_recombination(
@@ -693,9 +616,10 @@ def _verify_recombination(
 def decompose_trade(v: CycleVector) -> DiamondDecomposition:
     """Exact rational coordinates of a kernel vector over diamond_basis(n).
 
-    Solved modulo several primes with cached solve factors, combined by
-    CRT and rational reconstruction; the recombination is verified
-    exactly before returning.
+    A fraction-free integer reduction of v against the cached echelon of
+    the basis rows (_solve_factor) gives the coordinates; the
+    recombination is verified exactly, from the diamonds themselves,
+    before returning.
     """
     _assert_kernel_member(v)
     n = v.n
@@ -703,7 +627,14 @@ def decompose_trade(v: CycleVector) -> DiamondDecomposition:
     if v.is_zero():
         coeffs: tuple[Fraction, ...] = tuple(Fraction(0) for _ in sel)
         return DiamondDecomposition(n, coeffs, True)
-    coeffs = _decompose_modular(v)
+    nz = np.flatnonzero(v.entries)
+    coords = _solve_factor(n).coordinates(dict(zip(nz.tolist(), v.entries[nz].tolist())))
+    if coords is None:
+        # the basis spans ker M and v lies in it, so this cannot happen
+        raise VerificationError(f"n={n}: a kernel vector is outside the span of the diamond basis")
+    coeffs = tuple(coords.get(pos, Fraction(0)) for pos in range(len(sel)))
+    if not _verify_recombination(n, sel, coeffs, v):
+        raise VerificationError(f"n={n}: the diamond coordinates do not recombine to the vector")
     integral = all(c.denominator == 1 for c in coeffs)
     return DiamondDecomposition(n, coeffs, integral)
 

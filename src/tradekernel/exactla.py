@@ -1,11 +1,12 @@
 """Exact integer linear algebra on small sparse matrices.
 
-Exact rank comes from one fraction-free elimination over the integers,
-SparseEchelon, which takes rows one at a time and also says which rows
-raised the rank. Elimination mod a prime (kernels) is a lower bound on
-the exact rank and serves as an independent certificate. Kernel bases
-and span coefficients use Fraction arithmetic, so every result here is
-exact.
+Exact rank, basis selection and coordinates come from one fraction-free
+elimination over the integers, SparseEchelon, which takes rows one at a
+time, says which rows raised the rank and, for tagged rows, expresses
+any vector of their span over them. Elimination mod a prime (kernels) is
+a lower bound on the exact rank and serves as an independent
+certificate. Kernel bases use Fraction arithmetic, so every result here
+is exact.
 
 The inclusion matrices of this package are 0/1 with a few nonzeros per
 row, and their pivot rows stay small and sparse under SparseEchelon. The
@@ -14,8 +15,8 @@ thousand rows.
 """
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -131,7 +132,10 @@ def parse_matrix(text: str) -> SparseIntMatrix:
     if n_rows is None:
         n_rows = max((r for r, _ in entries), default=-1) + 1
         n_cols = max((c for _, c in entries), default=-1) + 1
-    return SparseIntMatrix(n_rows, n_cols, entries)
+    try:
+        return SparseIntMatrix(n_rows, n_cols, entries)
+    except ValueError as e:  # negative dimensions or an entry out of bounds
+        raise FormatError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -148,28 +152,43 @@ class SparseEchelon:
     its content after each step; it raises the rank exactly when it does
     not reduce to zero. No division is ever inexact and no prime is
     involved, so the rank is the rank over Q.
+
+    A row added with a tag also records how its pivot was made: a scale
+    s > 0 and an integer combination {tag: c} with s * pivot equal to
+    sum c * (the row added with that tag). coordinates() reads exact
+    coordinates over the tagged rows off these records. Untagged rows,
+    as in a rank or a basis selection, skip the combination arithmetic;
+    an echelon that gives coordinates takes tagged rows only.
     """
 
     def __init__(self):
         self.pivots: dict[int, dict[int, int]] = {}
+        # leading column -> (scale, {tag: coefficient}) for pivots of tagged rows
+        self.combos: dict[int, tuple[int, dict[Hashable, int]]] = {}
 
     def __len__(self) -> int:
         return len(self.pivots)
 
-    def add(self, row: Mapping[int, int]) -> bool:
+    def add(self, row: Mapping[int, int], tag: Optional[Hashable] = None) -> bool:
         """Insert row; True when it is outside the span of the rows so far."""
         r = {c: int(v) for c, v in row.items() if v}
         pivots = self.pivots
+        # scale * r == sum of combo[t] * (row tagged t), while tagged
+        scale, combo = 1, {tag: 1}
         while r:
             g = gcd(*r.values())
             if g != 1:
                 r = {c: v // g for c, v in r.items()}
+                scale *= g
             lead = min(r)
             piv = pivots.get(lead)
             if piv is None:
                 if r[lead] < 0:
                     r = {c: -v for c, v in r.items()}
+                    combo = {t: -x for t, x in combo.items()}
                 pivots[lead] = r
+                if tag is not None:
+                    self.combos[lead] = _lowest_terms(scale, combo)
                 return True
             a, b = r[lead], piv[lead]
             if b != 1:
@@ -182,7 +201,69 @@ class SparseEchelon:
                     r[c] = x
                 else:
                     del r[c]
+            if tag is not None:
+                # scale*ps * (b*r - a*piv) == b*ps*combo - a*scale*pcombo over the tagged rows
+                ps, pcombo = self.combos[lead]
+                new = {t: b * ps * x for t, x in combo.items()}
+                for t, x in pcombo.items():
+                    y = new.get(t, 0) - a * scale * x
+                    if y:
+                        new[t] = y
+                    else:
+                        new.pop(t, None)
+                scale, combo = _lowest_terms(scale * ps, new)
         return False
+
+    def coordinates(self, vector: Mapping[int, int]) -> Optional[dict[Hashable, Fraction]]:
+        """Exact coordinates {tag: coefficient} of vector over the tagged rows.
+
+        None when the vector is outside their span. Zero coordinates are
+        left out. When the tagged rows are independent the coordinates are
+        the unique ones; a row that was dependent when added gets none.
+        """
+        r = {c: int(v) for c, v in vector.items() if v}
+        pivots = self.pivots
+        # m * vector == r + sum of q[lead] * pivots[lead]
+        m = 1
+        q: dict[int, int] = {}
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                # no pivot starts at the first nonzero column of r, so no pivot combination cancels it
+                return None
+            a, b = r[lead], piv[lead]
+            if b != 1:
+                h = gcd(a, b)
+                a, b = a // h, b // h
+                r = {c: b * v for c, v in r.items()}
+                q = {k: b * x for k, x in q.items()}
+                m *= b
+            q[lead] = a
+            for c, v in piv.items():
+                x = r.get(c, 0) - a * v
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+        # vector == sum q[l] / (m * s_l) * combo_l over the tagged rows; over one
+        # denominator m * lcm(s_l) every coordinate has an integer numerator
+        lcm_s = lcm(*(self.combos[lead][0] for lead in q))
+        num: dict[Hashable, int] = {}
+        for lead, x in q.items():
+            s, combo = self.combos[lead]
+            f = x * (lcm_s // s)
+            for t, c in combo.items():
+                num[t] = num.get(t, 0) + f * c
+        den = m * lcm_s
+        return {t: Fraction(v, den) for t, v in num.items() if v}
+
+
+def _lowest_terms(scale: int, combo: dict[Hashable, int]) -> tuple[int, dict[Hashable, int]]:
+    g = gcd(scale, *combo.values())
+    if g == 1:
+        return scale, combo
+    return scale // g, {t: x // g for t, x in combo.items()}
 
 
 def rank_exact_dense(rows: Sequence[Sequence[int]]) -> int:
@@ -286,25 +367,24 @@ def coefficients_in_span(
 ) -> list[Fraction] | None:
     """Rational coefficients expressing target over the generators, or None.
 
-    Solves G x = t exactly with the generators as columns. Free generator
-    coefficients are set to zero, so when the generators are independent
-    the answer is the unique one. The recombination is verified before
-    returning.
+    The generators go into one SparseEchelon in order, and the target is
+    read off as coordinates over them. A generator in the span of the
+    ones before it gets coefficient zero, so when the generators are
+    independent the answer is the unique one. The recombination is
+    verified before returning.
     """
     m = len(generators)
     dim = len(target)
     for g in generators:
         if len(g) != dim:
             raise ValueError("generator and target dimensions differ")
-    if m == 0:
-        return [] if all(x == 0 for x in target) else None
-    aug = [[generators[j][i] for j in range(m)] + [target[i]] for i in range(dim)]
-    rows, piv = _fraction_rref(aug)
-    if m in piv:
+    echelon = SparseEchelon()
+    for j, g in enumerate(generators):
+        echelon.add({i: v for i, v in enumerate(g) if v}, tag=j)
+    coords = echelon.coordinates({i: v for i, v in enumerate(target) if v})
+    if coords is None:
         return None
-    coeffs = [Fraction(0)] * m
-    for r, c in enumerate(piv):
-        coeffs[c] = rows[r][m]
+    coeffs = [coords.get(j, Fraction(0)) for j in range(m)]
     for i in range(dim):
         acc = Fraction(0)
         for j in range(m):

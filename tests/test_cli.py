@@ -1,16 +1,21 @@
 """Exit codes, report envelopes, payload stability, file round-trips."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tradekernel
-from tradekernel import cli, cycles, latin
+from tradekernel import cli, cycles, exactla, latin
 from tradekernel.cli import main
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
@@ -94,6 +99,44 @@ class TestExitCodes:
         code, rep = run_json(capsys, "latin", "validate", "--square", str(f))
         assert code == 1
         assert rep["payload"]["valid"] is False
+
+
+def _file(path, content):
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    return str(path)
+
+
+def _square(n):
+    return latin.format_square(latin.LatinSquare([[(i + j) % n for j in range(n)] for i in range(n)]))
+
+
+# inputs that used to end in a traceback and exit 1; each builds its argv in a directory
+BAD_INPUTS = {
+    "negative-dims": lambda d: ["linalg", "rank", "--matrix", _file(d / "m", "dims -1 3\n")],
+    "entry-out-of-range": lambda d: ["linalg", "kernel", "--matrix", _file(d / "m", "dims 2 2\n5 0 1\n")],
+    "not-utf8": lambda d: ["linalg", "rank", "--matrix", _file(d / "m", b"\xff\xfe\x00dims")],
+    "latin-orders-differ": lambda d: [
+        "latin", "transform", "--a", _file(d / "a", _square(4)), "--b", _file(d / "b", _square(5))
+    ],
+    "cycles-orders-differ": lambda d: [
+        "cycles", "transform",
+        "--a", _file(d / "a", cycles.format_cycle_system(cycles.find_cycle_system(9))),
+        "--b", _file(d / "b", cycles.format_cycle_system(cycles.find_cycle_system(1))),
+    ],
+    "lattice-above-cap": lambda d: [
+        "linalg", "lattice-eq",
+        "--a", _file(d / "a", f"dims 1 {exactla.LATTICE_DIM_CAP + 1}\n0 0 1\n"),
+        "--b", _file(d / "b", f"dims 1 {exactla.LATTICE_DIM_CAP + 1}\n0 1 1\n"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_format_error(capsys, tmp_path, case):
+    code, out, err = run(capsys, *BAD_INPUTS[case](tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def run_process(argv):
@@ -191,6 +234,118 @@ def test_verification_failure_is_exit_3_under_optimize(tmp_path):
     payload = json.loads(out.stdout)["payload"]
     assert payload["error"] == "Verification"
     assert "does not reach the goal square" in payload["message"]
+
+
+def test_corrupted_pivot_combination_is_exit_3_under_optimize(tmp_path):
+    # corrupting the recorded combinations of the cached basis echelon gives
+    # wrong coordinates; under -O the recombination check must still catch them
+    trade = tmp_path / "d.pair"
+    trade.write_text(cycles.format_trade_pair_file(cycles.diamond_basis(6)[3].trade_pair(6)))
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are live'\n"
+        "from tradekernel import cli, cycles\n"
+        "for _scale, combo in cycles._solve_factor(6).combos.values():\n"
+        "    combo[next(iter(combo))] += 1\n"
+        f"sys.exit(cli.main(['cycles', 'decompose', '--trade', '{trade}']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(tradekernel.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 3, out.stderr
+    payload = json.loads(out.stdout)["payload"]
+    assert payload["error"] == "Verification"
+    assert "do not recombine" in payload["message"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """One file of every input kind the CLI reads, plus malformed, empty, binary and missing ones."""
+    d = tmp_path_factory.mktemp("fuzz")
+    base = cycles.find_cycle_system(9)
+    perm = (8, 7, 4, 3, 0, 5, 6, 1, 2)  # an integral relabelling, lifted at lambda 1
+    other = cycles.CycleSystem(9, [cycles.canonical_cycle([perm[v] for v in c]) for c in base.cycles])
+    texts = {
+        "square": _square(4),
+        "latin-trade": Path(DATA, "example4.trade").read_text(encoding="utf-8"),
+        "system": cycles.format_cycle_system(base),
+        "system-relabelled": cycles.format_cycle_system(other),
+        "pair": cycles.format_trade_pair_file(cycles.enumerate_double_diamonds(6)[0].trade_pair(6)),
+        "matrix": "dims 3 4\n0 0 1\n0 2 -2\n1 1 3\n2 3 1\n",
+        "malformed": "n=3\n1 2 x\n\n0 0\n",
+        "empty": "",
+    }
+    paths = {name: _file(d / name, text) for name, text in texts.items()}
+    paths["binary"] = _file(d / "binary", bytes(range(256)))
+    paths["missing"] = str(d / "missing")
+    return paths
+
+
+def _fuzz_argv(files):
+    f = st.sampled_from(sorted(files.values()))
+    n = st.integers(-2, 10).map(str)
+    mod = st.sampled_from(["2", "4", "2147483647"])
+    budget = st.integers(-1, 2000).map(str)
+
+    def cmd(*parts):
+        return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts)).map(list)
+
+    commands = st.one_of(
+        cmd("latin", "matrix", "--n", n),
+        cmd("latin", "rank", "--n", n),
+        cmd("latin", "rank", "--n", n, "--mod", mod),
+        cmd("latin", "basis", "--n", n),
+        cmd("latin", "decompose", "--trade", f),
+        cmd("latin", "transform", "--a", f, "--b", f),
+        cmd("latin", "validate", "--square", f),
+        cmd("latin", "validate", "--trade", f),
+        cmd("cycles", "matrix", "--n", n),
+        cmd("cycles", "rank", "--n", n),
+        cmd("cycles", "rank", "--n", n, "--mod", mod),
+        cmd("cycles", "diamonds", "--n", n, "--list"),
+        cmd("cycles", "span", "--n", n),
+        cmd("cycles", "basis", "--n", n),
+        cmd("cycles", "decompose", "--trade", f),
+        cmd("cycles", "decompose", "--a", f, "--b", f),
+        cmd("cycles", "decompose", "--a", f),
+        cmd("cycles", "find", "--n", n, "--budget", budget),
+        cmd("cycles", "diamond-free", "--n", n, "--restarts", st.integers(-1, 3).map(str)),
+        cmd("cycles", "count-diamonds", "--system", f),
+        cmd(
+            "cycles", "transform", "--a", f, "--b", f, "--mode", st.sampled_from(["virtual", "strict", "lifted"]),
+            "--lam-max", st.integers(0, 2).map(str), "--budget", budget,
+        ),
+        cmd("cycles", "validate", "--system", f),
+        cmd("cycles", "validate", "--pair", f),
+        cmd("linalg", "rank", "--matrix", f),
+        cmd("linalg", "rank", "--matrix", f, "--mod", mod),
+        cmd("linalg", "kernel", "--matrix", f),
+        cmd("linalg", "lattice-eq", "--a", f, "--b", f),
+    )
+    # --jobs stays 1, so no process pool starts
+    extras = st.lists(st.sampled_from([["--text"], ["--seed", "7"], ["--jobs", "1"], ["--bogus"]]), max_size=2)
+    return st.tuples(commands, extras).map(lambda t: t[0] + [x for e in t[1] for x in e])
+
+
+@settings(deadline=None, max_examples=120)
+@given(data=st.data())
+def test_fuzz_exit_codes(fuzz_files, data):
+    # any bounded argv ends in a documented exit code; only argparse may exit on its own
+    argv = data.draw(_fuzz_argv(fuzz_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+            assert code == 2
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 # sha256 of json.dumps(payload, sort_keys=True), recorded with the dense

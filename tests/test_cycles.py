@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,7 +218,11 @@ class TestBasisSelection:
     def test_matches_greedy_mod_p_oracle(self, n):
         # the in-order mod-p rank filter is an independent oracle for the
         # exact selection: on a lucky prime both keep the same rows
-        _, stack = cycles._diamond_stack(n)
+        _, rows = cycles._diamond_stack(n)
+        stack = np.zeros((len(rows), 3 * math.comb(n, 4)), dtype=np.int64)
+        for r, row in enumerate(rows):
+            for c, v in row.items():
+                stack[r, c] = v
         oracle = tuple(int(i) for i in kernels.greedy_rank_filter(stack, default_primes(1)[0]))
         assert cycles._diamond_basis_indices(n) == oracle
         assert diamond_span_rank(n) == kernel_dimension(n) == len(oracle)
@@ -229,10 +234,6 @@ class TestBasisSelection:
         monkeypatch.setattr(cycles.DoubleDiamond, "target_cycles", lopsided)
         with pytest.raises(VerificationError):
             cycles._diamond_stack.__wrapped__(6)  # bypass the cache
-
-    def test_crt_rejects_shared_factor(self):
-        with pytest.raises(VerificationError):
-            cycles._crt_pair(1, 6, 2, 9)
 
     def test_independence_certificate_survives_optimize(self):
         # under -O every assert is stripped; the certificate must still fire
@@ -292,12 +293,23 @@ class TestDecompose:
         assert dec.support() == []
 
     def test_modular_path_agrees_with_exact(self):
-        # n=9 uses the multi-prime route; cross-check one vector both ways
+        # a known integer combination of two n=9 basis diamonds comes back exactly
         basis = diamond_basis(9)
         v = diamond_vector(basis[100], 9).add_scaled(diamond_vector(basis[7], 9), -2)
         dec = decompose_trade(v)
         assert dec.integral
         assert dict(dec.support()) == {7: Fraction(-2), 100: Fraction(1)}
+
+    def test_outside_span_is_verification_error(self, monkeypatch):
+        # an echelon missing basis diamond 3 cannot express that diamond's vector
+        _, rows = cycles._diamond_stack(6)
+        partial = exactla.SparseEchelon()
+        for pos, i in enumerate(cycles._diamond_basis_indices(6)):
+            if pos != 3:
+                partial.add(rows[i], tag=pos)
+        monkeypatch.setattr(cycles, "_solve_factor", lambda n: partial)
+        with pytest.raises(VerificationError, match="outside the span"):
+            decompose_trade(diamond_vector(diamond_basis(6)[3], 6))
 
 
 class TestConfigCounting:
@@ -546,6 +558,72 @@ class TestSearchGolden:
         plan = transform(base, other, mode="lifted")
         assert plan.lam == 1
         assert (_sha256(cycles.format_cycle_move_plan(plan)), len(plan.moves)) == LIFTED_RELABELLED[perm]
+
+
+# Relabellings of find_cycle_system(9) whose difference is integral over
+# diamond_basis(9) and schedules in lifted mode at lambda 1.
+CATALOGUE_PERMS = (
+    (2, 1, 5, 7, 8, 6, 3, 0, 4),
+    (8, 7, 4, 3, 0, 5, 6, 1, 2),
+    (0, 4, 1, 8, 3, 5, 7, 2, 6),
+    (8, 1, 2, 4, 5, 7, 3, 0, 6),
+    (4, 8, 3, 1, 0, 5, 6, 7, 2),
+    (0, 8, 5, 3, 6, 2, 4, 1, 7),
+    (4, 7, 6, 8, 3, 1, 5, 0, 2),
+    (5, 1, 4, 6, 8, 2, 3, 0, 7),
+)
+
+# Recorded while decompositions were still solved modulo several primes and
+# combined by CRT and rational reconstruction: the exact solve must give the
+# same coefficients. sha256 over one `integral;support` line per vector.
+DECOMPOSE_SHA256 = {
+    6: "69895d87c6f4a4fbcc218545fc6f739be1b9bbb39579cfbcb80ab502554aa710",
+    7: "c76a609dc3e58c2d1564666d3292a48fc91c92ad9b61f65a3f39674e11ef2856",
+    8: "f50c6d9f29e41becd83b9ea12f1aaa1c8f7e096a239096780d42caf67ec9f6d2",
+    9: "61753337473402e301efbd6e54233126da0bfee09e8f887cedaa7a856869d723",
+    "pairs9": "c1a2e74ecb0f5ada3795cce09ad5aefd1e589d3ecb4f7185e9032f1ed3cd33a4",
+}
+
+
+def _combinations(n, count=10):
+    """Seeded sums of six distinct diamonds, each with sign +1 or -1."""
+    rng = random.Random(f"decompose-{n}")
+    diamonds = enumerate_double_diamonds(n)
+    out = []
+    for _ in range(count):
+        v = cycles.CycleVector(n)
+        for d in rng.sample(diamonds, 6):
+            v = v.add_scaled(diamond_vector(d, n), rng.choice((1, -1)))
+        out.append(v)
+    return out
+
+
+def _pair_differences():
+    """4CS(9) differences: the catalogue pairs, then 12 seeded relabellings."""
+    base = find_cycle_system(9)
+    rng = random.Random(5)
+    perms = list(CATALOGUE_PERMS) + [rng.sample(range(9), 9) for _ in range(12)]
+    return [
+        base.vector() - CycleSystem(9, [canonical_cycle([p[v] for v in c]) for c in base.cycles]).vector()
+        for p in perms
+    ]
+
+
+def _decomposition_digest(vectors):
+    lines = []
+    for v in vectors:
+        dec = decompose_trade(v)
+        lines.append(f"{dec.integral};{[(i, str(c)) for i, c in dec.support()]}\n")
+    return _sha256("".join(lines))
+
+
+class TestDecomposeGolden:
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_diamond_combinations(self, n):
+        assert _decomposition_digest(_combinations(n)) == DECOMPOSE_SHA256[n]
+
+    def test_pair_differences(self):
+        assert _decomposition_digest(_pair_differences()) == DECOMPOSE_SHA256["pairs9"]
 
 
 class TestFormats:

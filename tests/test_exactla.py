@@ -196,6 +196,64 @@ class TestSpanCoordinates:
         gens = [[1, 2], [3, 4]]
         assert coefficients_in_span(gens, [0, 0]) == [Fraction(0), Fraction(0)]
 
+    def test_dependent_generator_gets_zero(self):
+        gens = [[1, 1, 0], [2, 2, 0], [0, 1, 1]]
+        assert coefficients_in_span(gens, [3, 4, 1]) == [Fraction(3), Fraction(0), Fraction(1)]
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_matches_fraction_rref_solve(self, data):
+        dim = data.draw(st.integers(1, 7))
+        entry = st.integers(-3, 3)
+        gens = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=6))
+        if gens and data.draw(st.booleans()):
+            # a generator dependent on the ones before it
+            f = data.draw(st.lists(entry, min_size=len(gens), max_size=len(gens)))
+            gens.insert(data.draw(st.integers(1, len(gens))), [sum(a * g[i] for a, g in zip(f, gens)) for i in range(dim)])
+        if gens and data.draw(st.booleans()):
+            scale = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+            f = data.draw(st.lists(scale, min_size=len(gens), max_size=len(gens)))
+            den = math.lcm(*(x.denominator for x in f))
+            target = [int(sum(a * den * g[i] for a, g in zip(f, gens))) for i in range(dim)]
+        else:
+            target = data.draw(st.lists(entry, min_size=dim, max_size=dim))
+        assert coefficients_in_span(gens, target) == fraction_rref_solve(gens, target)
+
+
+def fraction_rref_solve(gens, target):
+    """Oracle: RREF of [G | t] over Fraction with the generators as columns, free coefficients 0."""
+    m = len(gens)
+    if m == 0:
+        return None if any(target) else []
+    rows, piv = exactla._fraction_rref([[g[i] for g in gens] + [t] for i, t in enumerate(target)])
+    if m in piv:
+        return None
+    coeffs = [Fraction(0)] * m
+    for r, c in enumerate(piv):
+        coeffs[c] = rows[r][m]
+    return coeffs
+
+
+class TestEchelonCoordinates:
+    def test_tagged_rows(self):
+        e = SparseEchelon()
+        assert e.add({0: 2, 2: 1}, tag="a")
+        assert e.add({1: 2, 2: 1}, tag="b")
+        assert not e.add({0: 2, 1: 2, 2: 2}, tag="c")  # a + b
+        assert e.coordinates({0: 2, 1: 2, 2: 2}) == {"a": 1, "b": 1}
+        assert e.coordinates({0: 2, 1: -2}) == {"a": 1, "b": -1}
+        assert e.coordinates({0: 1, 1: 1, 2: 1}) == {"a": Fraction(1, 2), "b": Fraction(1, 2)}
+        assert e.coordinates({0: 1}) is None
+        assert e.coordinates({}) == {}
+        for scale, combo in e.combos.values():
+            assert scale > 0 and combo
+
+    def test_outside_span_is_none(self):
+        e = SparseEchelon()
+        e.add({0: 1, 1: 1}, tag=0)
+        assert e.coordinates({1: 1}) is None
+        assert e.coordinates({0: 1, 1: 2}) is None
+
 
 class TestHermite:
     def test_known_form(self):
