@@ -392,7 +392,7 @@ def _run_cycles(args, command, t0):
         return payload, {"n": args.n}, None
     if args.sub == "span":
         span = cycles.diamond_span_rank(args.n)
-        ds = cycles.enumerate_double_diamonds(args.n) if args.n >= 6 else []
+        n_diamonds = cycles.diamond_count(args.n)
         m = cycles.build_inclusion_matrix(args.n)
         kdim = cycles.kernel_dimension(args.n)
         payload = _rank_payload(
@@ -400,8 +400,8 @@ def _run_cycles(args, command, t0):
             m.n_rows,
             m.n_cols,
             m.n_cols - kdim,
-            "exact" if len(ds) <= cycles._EXACT_DIAMOND_LIMIT else "mod-p certified",
-            diamond_count=len(ds),
+            "exact" if n_diamonds <= cycles._EXACT_DIAMOND_LIMIT else "mod-p certified",
+            diamond_count=n_diamonds,
             diamond_span_rank=span,
         )
         payload["deficient"] = span < kdim

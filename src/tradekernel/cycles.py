@@ -13,12 +13,14 @@ trade whose edge union is the K_{2,4} on poles x middles. Identity is
 kept unordered (source index < target index in enumeration); direction
 is carried by the sign of a move.
 
-One exact elimination over Z of the 4-sparse diamond rows (SparseEchelon)
-gives the diamond span rank, the basis, and the coordinates of any
-kernel vector over that basis. The selected rows are cross-checked by a
-mod-p rank on one prime, and every decomposition by exact recombination
-before it is returned. Every such check raises VerificationError, never
-asserts, so `python -O` keeps it.
+One exact elimination over Z of the 4-sparse diamond rows (SparseEchelon,
+pivoting each row on its last column) gives the diamond span rank, the
+basis, and the coordinates of any kernel vector over that basis. The
+selection skips the rows with pairings (1,2), which are the difference
+of the two rows before them. The selected rows are cross-checked by a
+sparse mod-p rank on one prime, and every decomposition by exact
+recombination before it is returned. Every such check raises
+VerificationError, never asserts, so `python -O` keeps it.
 """
 
 import functools
@@ -46,7 +48,7 @@ from .errors import (
     SpanDeficientError,
     VerificationError,
 )
-from .exactla import SparseEchelon, SparseIntMatrix, rank_exact_dense
+from .exactla import SparseEchelon, SparseIntMatrix, rank_exact_dense, rank_mod_p
 # perfbench/tracing.py wraps cycles.coefficients_in_span and cycles.sample_primes
 from .exactla import coefficients_in_span  # noqa: F401
 from .primes import default_primes
@@ -436,8 +438,13 @@ def diamond_vector(d: DoubleDiamond, n: int) -> CycleVector:
     return CycleVector(n, v)
 
 
+def diamond_count(n: int) -> int:
+    """len(enumerate_double_diamonds(n)), without building them."""
+    return 3 * math.comb(n, 2) * math.comb(n - 2, 4) if n >= 6 else 0
+
+
 def enumerate_double_diamonds(n: int) -> list[DoubleDiamond]:
-    """All 3*C(n,2)*C(n-2,4) diamonds: poles lex, middles lex, pairing pair lex."""
+    """All diamond_count(n) diamonds: poles lex, middles lex, pairing pair lex."""
     if n < 6:
         warnings.warn(f"no double-diamonds exist below order 6 (n={n})", stacklevel=2)
         return []
@@ -454,21 +461,23 @@ def enumerate_double_diamonds(n: int) -> list[DoubleDiamond]:
 def _diamond_stack(n: int) -> tuple[tuple[DoubleDiamond, ...], tuple[dict[int, int], ...]]:
     """(diamonds, rows): per enumerated diamond its vector as {cycle index: +-1}.
 
-    Every row is checked to lie in ker M (both sides cover the same eight
-    K_{2,4} edges), so the rank of any set of rows is at most dim ker M.
+    Every row is checked to lie in ker M: the source cycles and the target
+    cycles cover the same multiset of edges (the eight K_{2,4} edges), so
+    the rank of any set of rows is at most dim ker M.
     """
     diamonds = tuple(enumerate_double_diamonds(n))
-    idx = cycle_index_map(n) if n >= 4 else {}
+    if not diamonds:
+        return diamonds, ()
+    idx = cycle_index_map(n)
+    edges = cycle_edge_array(n).tolist()
     rows = []
     for d in diamonds:
-        src = d.source_cycles()
-        tgt = d.target_cycles()
-        if Counter(e for c in src for e in c.edge_pairs()) != Counter(
-            e for c in tgt for e in c.edge_pairs()
-        ):
+        s0, s1 = (idx[c] for c in d.source_cycles())
+        t0, t1 = (idx[c] for c in d.target_cycles())
+        if sorted(edges[s0] + edges[s1]) != sorted(edges[t0] + edges[t1]):
             raise VerificationError(f"diamond {d} is not edge-balanced, so not in ker M")
         # the two pairings are distinct, so the four cycles are too
-        rows.append({idx[src[0]]: 1, idx[src[1]]: 1, idx[tgt[0]]: -1, idx[tgt[1]]: -1})
+        rows.append({s0: 1, s1: 1, t0: -1, t1: -1})
     return diamonds, tuple(rows)
 
 
@@ -483,8 +492,14 @@ def _diamond_selection(n: int) -> tuple[int, ...]:
 
     One exact elimination over Z (SparseEchelon) on the 4-sparse rows,
     stopped once the rank reaches dim ker M, which no set of rows can
-    exceed. The mod-p rank of the selected rows on one prime must equal
-    their count: a second, independent proof that they are independent.
+    exceed. Rows with pairings (1,2) are never inserted: with P_k the
+    vector of pairing k's two cycles, D(1,2) = P_1 - P_2 = D(0,2) - D(0,1),
+    and both of those rows come just before it in the same (poles,
+    middles) group, so the scan could never keep it. The selection does
+    not depend on the echelon's pivot rule. The mod-p rank of the
+    selected rows on one prime must equal their count: a second proof
+    that they are independent. It is independent of the first in its
+    arithmetic (GF(p), not fraction-free Z) but shares the pivot rule.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -497,14 +512,13 @@ def _diamond_selection(n: int) -> tuple[int, ...]:
     for i, row in enumerate(rows):
         if len(sel) == need:
             break
-        if echelon.add(row):
+        if diamonds[i].source != 1 and echelon.add(row):
             sel.append(i)
-    selected = np.zeros((len(sel), 3 * math.comb(n, 4)), dtype=np.int64)
-    for r, i in enumerate(sel):
-        for c, v in rows[i].items():
-            selected[r, c] = v
+    selected = SparseIntMatrix(
+        len(sel), 3 * math.comb(n, 4), {(r, c): v for r, i in enumerate(sel) for c, v in rows[i].items()}
+    )
     p = default_primes(1)[0]
-    rank_p = kernels.modp_rank(selected, p)
+    rank_p = rank_mod_p(selected, p)
     if rank_p != len(sel):
         raise VerificationError(
             f"n={n}: {len(sel)} diamonds selected as independent, but their rank mod {p} is {rank_p}"

@@ -3,10 +3,13 @@
 Exact rank, basis selection and coordinates come from one fraction-free
 elimination over the integers, SparseEchelon, which takes rows one at a
 time, says which rows raised the rank and, for tagged rows, expresses
-any vector of their span over them. Elimination mod a prime (kernels) is
-a lower bound on the exact rank and serves as an independent
-certificate. Kernel bases use Fraction arithmetic, so every result here
-is exact.
+any vector of their span over them. Rank mod a prime (rank_mod_p) is the
+same sparse elimination over GF(p); it is a lower bound on the exact
+rank and serves as a certificate independent in its arithmetic. Both
+pivot every row on its last nonzero column, which keeps the pivot rows
+of the 4-sparse diamond rows short; neither ever densifies a matrix, at
+the price of pure-Python row operations on dense input. Kernel bases use
+Fraction arithmetic, so every result here is exact.
 
 The inclusion matrices of this package are 0/1 with a few nonzeros per
 row, and their pivot rows stay small and sparse under SparseEchelon. The
@@ -18,9 +21,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
-from . import kernels
 from .errors import FormatError, VerificationError
 from .primes import is_probable_prime
 
@@ -61,11 +61,16 @@ class SparseIntMatrix:
             out[r][c] = v
         return out
 
-    def to_array(self) -> np.ndarray:
-        a = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
+    def rows(self) -> list[dict[int, int]]:
+        """The nonzero rows as {column: value} dicts, in row order.
+
+        Reads only the stored entries, so the cost is O(nnz) whatever the
+        declared dimensions.
+        """
+        by_row: dict[int, dict[int, int]] = {}
         for (r, c), v in self.entries.items():
-            a[r, c] = v
-        return a
+            by_row.setdefault(r, {})[c] = v
+        return [by_row[r] for r in sorted(by_row)]
 
     def matvec(self, v: Sequence[int]) -> list[int]:
         """Exact A @ v with Python integers."""
@@ -146,8 +151,14 @@ class SparseEchelon:
     """Row echelon form over Z, grown one sparse row at a time.
 
     Pivot rows are dicts {column: value}, kept primitive (content 1) with
-    a positive leading entry and keyed by their leading column. An
-    incoming row is reduced fraction-free on its leading entry,
+    a positive leading entry and keyed by their leading column. The
+    leading column of a row is its last nonzero column. Any fixed rule
+    gives the same rank, the same answer to "does this row raise the
+    rank" and the same coordinates; the last column keeps the pivot rows
+    of the 4-sparse diamond rows short and their entries small, where
+    the first column lets them fill in (structured Gaussian elimination,
+    LaMacchia and Odlyzko, CRYPTO '90). An incoming row is reduced
+    fraction-free on its leading entry,
     b*row - a*pivot with a/b the two leads in lowest terms, and divided by
     its content after each step; it raises the rank exactly when it does
     not reduce to zero. No division is ever inexact and no prime is
@@ -180,7 +191,7 @@ class SparseEchelon:
             if g != 1:
                 r = {c: v // g for c, v in r.items()}
                 scale *= g
-            lead = min(r)
+            lead = max(r)
             piv = pivots.get(lead)
             if piv is None:
                 if r[lead] < 0:
@@ -227,10 +238,10 @@ class SparseEchelon:
         m = 1
         q: dict[int, int] = {}
         while r:
-            lead = min(r)
+            lead = max(r)
             piv = pivots.get(lead)
             if piv is None:
-                # no pivot starts at the first nonzero column of r, so no pivot combination cancels it
+                # no pivot leads at the last nonzero column of r, so no pivot combination cancels it
                 return None
             a, b = r[lead], piv[lead]
             if b != 1:
@@ -266,23 +277,29 @@ def _lowest_terms(scale: int, combo: dict[Hashable, int]) -> tuple[int, dict[Has
     return scale // g, {t: x // g for t, x in combo.items()}
 
 
-def rank_exact_dense(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q: one SparseEchelon pass over the nonzeros of each row."""
+def _rank_rows(rows: Iterable[Mapping[int, int]]) -> int:
+    """Rank over Q of sparse rows {column: value}: one SparseEchelon pass."""
     echelon = SparseEchelon()
     for row in rows:
-        echelon.add({c: v for c, v in enumerate(row) if v})
+        echelon.add(row)
     return len(echelon)
 
 
+def rank_exact_dense(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of dense rows, read by their nonzeros."""
+    return _rank_rows({c: v for c, v in enumerate(row) if v} for row in rows)
+
+
 def rank_exact(a: SparseIntMatrix) -> int:
-    """Exact rank of a sparse integer matrix."""
-    return rank_exact_dense(a.to_dense())
+    """Exact rank of a sparse integer matrix, read by its stored entries."""
+    return _rank_rows(a.rows())
 
 
 def check_modulus(p: int) -> int:
     """p itself if it is a prime below 2**31, else ValueError.
 
-    The bound keeps the elimination kernels inside int64.
+    The bound is the documented range of `--mod`, inside which the numpy
+    kernels' residues stay in int64.
     """
     if not (2 <= p < 2**31) or not is_probable_prime(p):
         raise ValueError(f"p must be a prime below 2**31, got {p}")
@@ -290,8 +307,31 @@ def check_modulus(p: int) -> int:
 
 
 def rank_mod_p(a: SparseIntMatrix, p: int) -> int:
-    """Rank mod p. Always a lower bound on the exact rank."""
-    return kernels.modp_rank(a.to_array(), check_modulus(p))
+    """Rank mod p. Always a lower bound on the exact rank.
+
+    Sparse elimination over GF(p) on the matrix's rows, with the pivot
+    rule of SparseEchelon: each pivot row is keyed by its last nonzero
+    column and scaled to lead with 1.
+    """
+    check_modulus(p)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in a.rows():
+        r = {c: v % p for c, v in row.items() if v % p}
+        while r:
+            lead = max(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(r[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in r.items()}
+                break
+            f = r[lead]
+            for c, v in piv.items():
+                x = (r.get(c, 0) - f * v) % p
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,12 @@ class TestDiamonds:
             want = math.comb(n, 2) * math.comb(n - 2, 4) * 3
             assert len(enumerate_double_diamonds(n)) == want
 
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_diamond_count_matches_enumeration(self, n):
+        assert cycles.diamond_count(n) == len(enumerate_double_diamonds(n))
+
     def test_no_diamonds_below_six(self):
+        assert [cycles.diamond_count(n) for n in range(6)] == [0] * 6
         with pytest.warns(UserWarning):
             assert enumerate_double_diamonds(5) == []
 
@@ -213,6 +218,14 @@ class TestDiamonds:
         assert exactla.rank_exact(stack) == 30
 
 
+# sha256 of repr(_diamond_basis_indices(n)), recorded while the echelon
+# pivoted on the first column and inserted every pairing
+BASIS_SHA256 = {
+    10: "e821257072f673b02f0e0b7599cb895df584b5ec370bfe88fbfefa58acdca59d",
+    11: "e5055bed60d86b2d131668ef4fa73fe589d7bc3cdd2aa3e4ab79903376faae43",
+}
+
+
 class TestBasisSelection:
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_matches_greedy_mod_p_oracle(self, n):
@@ -226,6 +239,39 @@ class TestBasisSelection:
         oracle = tuple(int(i) for i in kernels.greedy_rank_filter(stack, default_primes(1)[0]))
         assert cycles._diamond_basis_indices(n) == oracle
         assert diamond_span_rank(n) == kernel_dimension(n) == len(oracle)
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_third_pairing_is_difference_of_first_two(self, n):
+        # D(1,2) = D(0,2) - D(0,1) within each (poles, middles) group, so the
+        # selection may skip every (1,2) row without changing what it keeps
+        diamonds, rows = cycles._diamond_stack(n)
+        for i in range(0, len(diamonds), 3):
+            d01, d02, d12 = diamonds[i : i + 3]
+            assert (d01.source, d01.target, d02.source, d02.target, d12.source, d12.target) == (0, 1, 0, 2, 1, 2)
+            assert d01.poles == d02.poles == d12.poles and d01.middles == d02.middles == d12.middles
+            diff = Counter(rows[i + 1])
+            diff.subtract(rows[i])
+            assert {c: v for c, v in diff.items() if v} == rows[i + 2]
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_certificate_rank_matches_dense_kernel(self, n):
+        # the rows the certificate sees (the selection), then the same rows
+        # with every 7th stack row mixed in, against the numpy elimination,
+        # which pivots in row order; p=2 and 3 make rank drops mod p likely
+        _, rows = cycles._diamond_stack(n)
+        sel = cycles._diamond_basis_indices(n)
+        for picked in (sel, sorted(set(sel) | set(range(0, len(rows), 7)))):
+            m = exactla.SparseIntMatrix(
+                len(picked), 3 * math.comb(n, 4), {(r, c): v for r, i in enumerate(picked) for c, v in rows[i].items()}
+            )
+            dense = np.array(m.to_dense(), dtype=np.int64)
+            for p in (2, 3, default_primes(1)[0]):
+                assert exactla.rank_mod_p(m, p) == kernels.modp_rank(dense % p, p)
+
+    @pytest.mark.parametrize("n", sorted(BASIS_SHA256))
+    def test_selection_pinned(self, n):
+        sel = cycles._diamond_basis_indices(n)
+        assert hashlib.sha256(repr(sel).encode()).hexdigest() == BASIS_SHA256[n]
 
     def test_unbalanced_diamond_rejected(self, monkeypatch):
         def lopsided(d):
@@ -241,9 +287,9 @@ class TestBasisSelection:
         script = (
             "import sys\n"
             "assert False, 'asserts are live'\n"
-            "from tradekernel import cycles, kernels\n"
+            "from tradekernel import cycles\n"
             "from tradekernel.errors import VerificationError\n"
-            "kernels.modp_rank = lambda a, p: len(a) - 1\n"
+            "cycles.rank_mod_p = lambda a, p: a.n_rows - 1\n"
             "try:\n"
             "    cycles._diamond_basis_indices(7)\n"
             "except VerificationError as e:\n"
@@ -582,6 +628,8 @@ DECOMPOSE_SHA256 = {
     8: "f50c6d9f29e41becd83b9ea12f1aaa1c8f7e096a239096780d42caf67ec9f6d2",
     9: "61753337473402e301efbd6e54233126da0bfee09e8f887cedaa7a856869d723",
     "pairs9": "c1a2e74ecb0f5ada3795cce09ad5aefd1e589d3ecb4f7185e9032f1ed3cd33a4",
+    # recorded while the echelon pivoted on the first column
+    10: "e9832a8e24cc912b4a8052bfc726d0559d5698db07b6291b5165c32add099716",
 }
 
 
@@ -618,7 +666,7 @@ def _decomposition_digest(vectors):
 
 
 class TestDecomposeGolden:
-    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
     def test_diamond_combinations(self, n):
         assert _decomposition_digest(_combinations(n)) == DECOMPOSE_SHA256[n]
 

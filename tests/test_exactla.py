@@ -3,11 +3,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tradekernel import exactla
+from tradekernel import exactla, kernels
 from tradekernel.errors import FormatError
 from tradekernel.exactla import (
     SparseEchelon,
@@ -93,6 +94,27 @@ class TestRank:
         assert rank_exact(m) == 2
         assert rank_mod_p(m, P) == 1
 
+    def test_huge_declared_dimensions_stay_sparse(self):
+        # a dense pass would ask for 10**12 cells; both ranks read the one entry
+        m = SparseIntMatrix(10**6, 10**6, {(0, 0): 1})
+        assert rank_exact(m) == 1
+        assert rank_mod_p(m, P) == 1
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=-9, max_value=9), min_size=5, max_size=5),
+            min_size=1,
+            max_size=7,
+        ),
+        st.sampled_from([2, 3, 5, 7]),
+    )
+    def test_mod_p_matches_dense_kernel(self, rows, p):
+        # the numpy in-order elimination is an independent oracle; small
+        # primes make rank drops mod p common
+        m = SparseIntMatrix.from_dense(rows)
+        assert rank_mod_p(m, p) == kernels.modp_rank(np.array(rows, dtype=np.int64), p)
+
     def test_bad_modulus_rejected(self):
         m = SparseIntMatrix.from_dense([[1]])
         with pytest.raises(ValueError):
@@ -134,14 +156,15 @@ class TestSparseEchelon:
 
     def test_pivots_primitive_with_positive_lead(self):
         ech = SparseEchelon()
-        assert ech.add({0: -2, 3: 4})
-        assert ech.add({0: 3, 1: 6, 2: 9})
+        assert ech.add({0: 2, 3: -4})  # content 2 divided out, negative lead flipped
+        assert ech.add({1: 3, 3: 3})  # 2*{1: 1, 3: 1} - pivot 3 = {0: 1, 1: 2}
         assert not ech.add({0: -4, 3: 8})
+        assert ech.add({0: 6, 1: 4})  # {0: 3, 1: 2} - pivot 1 = {0: 2}, content 2
         assert not ech.add({})
         for lead, piv in ech.pivots.items():
-            assert lead == min(piv) and piv[lead] > 0
+            assert lead == max(piv) and piv[lead] > 0
             assert math.gcd(*piv.values()) == 1
-        assert ech.pivots[0] == {0: 1, 3: -2}
+        assert ech.pivots == {3: {0: -1, 3: 2}, 1: {0: 1, 1: 2}, 0: {0: 1}}
 
 
 class TestKernel:
