@@ -8,9 +8,10 @@ strings so exactness survives JSON. Exit codes: 0 success, 1 for
 domain-negative outcomes (not admissible, not in span, search failure,
 invalid object under validate), 2 for usage or format errors (checked
 when the arguments are parsed where possible: --n, --mod, --jobs and
-TRADE_KERNEL_BUDGET), 3 when an internal exactness check fails
-(VerificationError). Exit codes 1 and 3 print a report whose payload
-names the error.
+TRADE_KERNEL_BUDGET) and for requests above a size limit, refused
+before any work (OUTPUT_CAP, exactla.LATTICE_DIM_CAP), 3 when an
+internal exactness check fails (VerificationError). Exit codes 1 and 3
+print a report whose payload names the error.
 """
 
 import argparse
@@ -38,6 +39,9 @@ from .errors import (
     SpanDeficientError,
     VerificationError,
 )
+
+# the most entries a payload may hold: kernel basis cells, listed diamonds
+OUTPUT_CAP = 10**6
 
 _DOMAIN_ERRORS = (
     NotAdmissibleError,
@@ -112,12 +116,6 @@ def _rank_payload(n, rows, cols, rank, mode, diamond_count=None, diamond_span_ra
         "diamond_span_rank": diamond_span_rank,
         "mode": mode,
     }
-
-
-def _move_line(sign: int, d: cycles.DoubleDiamond) -> str:
-    s = "+1" if sign > 0 else "-1"
-    mids = ",".join(str(m) for m in d.middles)
-    return f"{s} poles={d.poles[0]},{d.poles[1]} middles={mids} from={d.source} to={d.target}"
 
 
 def _order(minimum: int):
@@ -385,10 +383,13 @@ def _run_cycles(args, command, t0):
             None,
         )
     if args.sub == "diamonds":
-        ds = cycles.enumerate_double_diamonds(args.n) if args.n >= 6 else []
-        payload = {"n": args.n, "count": len(ds)}
+        count = cycles.diamond_count(args.n)
+        payload = {"n": args.n, "count": count}
         if args.list:
-            payload["diamonds"] = [_move_line(1, d)[3:] for d in ds]
+            if count > OUTPUT_CAP:
+                raise FormatError(f"--list would print {count} diamonds, above the cap of {OUTPUT_CAP}")
+            ds = cycles.enumerate_double_diamonds(args.n) if args.n >= 6 else []
+            payload["diamonds"] = [cycles.format_diamond(d) for d in ds]
         return payload, {"n": args.n}, None
     if args.sub == "span":
         span = cycles.diamond_span_rank(args.n)
@@ -418,7 +419,7 @@ def _run_cycles(args, command, t0):
                 "n": args.n,
                 "size": len(basis),
                 "kernel_dim": cycles.kernel_dimension(args.n),
-                "diamonds": [_move_line(1, d)[3:] for d in basis],
+                "diamonds": [cycles.format_diamond(d) for d in basis],
             },
             {"n": args.n},
             None,
@@ -442,7 +443,7 @@ def _run_cycles(args, command, t0):
             n = s1.n
         dec = cycles.decompose_trade(v)
         basis = cycles.diamond_basis(n)
-        support = [[_move_line(1, basis[i])[3:], c] for i, c in dec.support()]
+        support = [[cycles.format_diamond(basis[i]), c] for i, c in dec.support()]
         return (
             {"n": n, "integral": dec.integral, "support_size": len(support), "coefficients": support},
             digest,
@@ -522,7 +523,7 @@ def _run_cycles(args, command, t0):
                 "result": "certificate",
                 "integral": False,
                 "verified": out.verified,
-                "support": [[_move_line(1, d)[3:], c] for d, c in out.support],
+                "support": [[cycles.format_diamond(d), c] for d, c in out.support],
             }
             return payload, digest, args.seed
         payload = {
@@ -530,7 +531,7 @@ def _run_cycles(args, command, t0):
             "result": "plan",
             "mode": out.mode,
             "lambda": out.lam,
-            "moves": [_move_line(s, d) for s, d in out.moves],
+            "moves": [cycles.format_move(s, d) for s, d in out.moves],
             "audit": list(out.audit),
         }
         if args.plan_out:
@@ -585,6 +586,10 @@ def _run_linalg(args, command, t0):
     if args.sub == "kernel":
         text = _read(args.matrix)
         m = exactla.parse_matrix(text)
+        # rank <= stored rows and <= stored columns, so the basis has at least this many entries
+        cells = (m.n_cols - min(len({r for r, _ in m.entries}), len({c for _, c in m.entries}))) * m.n_cols
+        if cells > OUTPUT_CAP:
+            raise FormatError(f"the kernel basis has at least {cells} entries, above the cap of {OUTPUT_CAP}")
         basis = exactla.kernel_basis(m)
         payload = {"rows": m.n_rows, "cols": m.n_cols, "nullity": len(basis)}
         if args.out:
@@ -602,7 +607,9 @@ def _run_linalg(args, command, t0):
             raise FormatError("generator files have different ambient dimensions")
         if ma.n_cols > exactla.LATTICE_DIM_CAP:
             raise FormatError(f"ambient dimension {ma.n_cols} exceeds the cap of {exactla.LATTICE_DIM_CAP}")
-        equal = exactla.lattice_equal(ma.to_dense(), mb.to_dense())
+        # the form drops zero rows, so only the stored rows are expanded
+        rows_a, rows_b = ([[r.get(c, 0) for c in range(m.n_cols)] for r in m.rows()] for m in (ma, mb))
+        equal = exactla.lattice_equal(rows_a, rows_b)
         return {"cols": ma.n_cols, "equal": equal}, {"a": ta, "b": tb}, None
     raise AssertionError(args.sub)
 

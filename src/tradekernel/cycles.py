@@ -1250,14 +1250,19 @@ def parse_trade_pair_file(text: str) -> CycleTradePair:
         raise FormatError(f"trade pair: {e}") from e
 
 
+def format_diamond(d: DoubleDiamond) -> str:
+    """A diamond as the move plan format names it: `poles=a,b middles=w,x,y,z from=i to=j`."""
+    mids = ",".join(str(m) for m in d.middles)
+    return f"poles={d.poles[0]},{d.poles[1]} middles={mids} from={d.source} to={d.target}"
+
+
+def format_move(sign: int, d: DoubleDiamond) -> str:
+    """One move line of the plan format: `+1` or `-1`, then the diamond."""
+    return f"{'+1' if sign > 0 else '-1'} {format_diamond(d)}"
+
+
 def format_cycle_move_plan(plan: CycleMovePlan) -> str:
-    lines = []
-    for sign, d in plan.moves:
-        s = "+1" if sign > 0 else "-1"
-        mids = ",".join(str(m) for m in d.middles)
-        lines.append(
-            f"{s} poles={d.poles[0]},{d.poles[1]} middles={mids} from={d.source} to={d.target}"
-        )
+    lines = [format_move(sign, d) for sign, d in plan.moves]
     lines.append(f"lambda={plan.lam}")
     return "\n".join(lines) + "\n"
 

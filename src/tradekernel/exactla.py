@@ -1,20 +1,18 @@
 """Exact integer linear algebra on small sparse matrices.
 
-Exact rank, basis selection and coordinates come from one fraction-free
-elimination over the integers, SparseEchelon, which takes rows one at a
-time, says which rows raised the rank and, for tagged rows, expresses
-any vector of their span over them. Rank mod a prime (rank_mod_p) is the
-same sparse elimination over GF(p); it is a lower bound on the exact
-rank and serves as a certificate independent in its arithmetic. Both
-pivot every row on its last nonzero column, which keeps the pivot rows
-of the 4-sparse diamond rows short; neither ever densifies a matrix, at
-the price of pure-Python row operations on dense input. Kernel bases use
-Fraction arithmetic, so every result here is exact.
+Exact rank, basis selection, coordinates and kernel bases come from one
+fraction-free elimination over the integers, SparseEchelon, which takes
+rows one at a time, says which rows raised the rank and, for tagged
+rows, expresses any vector of their span over them; a kernel basis runs
+it on the columns. Rank mod a prime (rank_mod_p) is the same sparse
+elimination over GF(p); it is a lower bound on the exact rank and serves
+as a certificate independent in its arithmetic. Both pivot every row on
+its last nonzero column, which keeps the pivot rows of the 4-sparse
+diamond rows short; neither ever densifies a matrix, at the price of
+pure-Python row operations on dense input. Every result here is exact.
 
 The inclusion matrices of this package are 0/1 with a few nonzeros per
-row, and their pivot rows stay small and sparse under SparseEchelon. The
-dense Fraction routines are not meant for matrices beyond a few
-thousand rows.
+row, and their pivot rows stay small and sparse under SparseEchelon.
 """
 
 from fractions import Fraction
@@ -335,70 +333,39 @@ def rank_mod_p(a: SparseIntMatrix, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fraction elimination
-
-
-def _fraction_rref(mat: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [[Fraction(x) for x in r] for r in mat]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    piv: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pe = rows[r][c]
-        rows[r] = [x / pe for x in rows[r]]
-        rr = rows[r]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rr)]
-        piv.append(c)
-        r += 1
-    return rows, piv
-
-
-def _primitive(vec: Iterable[Fraction]) -> list[int]:
-    """Scale a rational vector to a primitive integer vector, first nonzero positive."""
-    vec = list(vec)
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
+# kernels and span coordinates
 
 
 def kernel_basis(a: SparseIntMatrix) -> list[list[int]]:
     """Primitive integer basis of the right kernel of A.
 
-    One vector per free column, ordered by free column index, computed
-    from the reduced row echelon form over Q. Length of the result is
-    n_cols - rank.
+    One vector per free column of the reduced row echelon form over Q,
+    in column order; n_cols - rank vectors, each with content 1 and its
+    first nonzero entry positive. The columns, read from the stored
+    entries, go into one SparseEchelon in order: a free column is one
+    that does not raise the rank, and its coordinates over the columns
+    before it are its RREF entries, whatever the pivot rule.
     """
-    rows, piv = _fraction_rref(a.to_dense())
-    pivset = set(piv)
+    cols: dict[int, dict[int, int]] = {}
+    for (r, c), v in a.entries.items():
+        cols.setdefault(c, {})[r] = v
+    echelon = SparseEchelon()
     out: list[list[int]] = []
     for f in range(a.n_cols):
-        if f in pivset:
+        col = cols.get(f, {})
+        if echelon.add(col, tag=f):
             continue
-        v = [Fraction(0)] * a.n_cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(piv):
-            v[c] = -rows[r][f]
-        out.append(_primitive(v))
+        # den * (e_f - sum of x_j e_j) over the coordinates x_j, then divided by its content
+        coords = echelon.coordinates(col)
+        den = lcm(*(x.denominator for x in coords.values()))
+        v = [0] * a.n_cols
+        v[f] = den
+        for j, x in coords.items():
+            v[j] = -x.numerator * (den // x.denominator)
+        g = gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        out.append([x // g for x in v])
     return out
 
 

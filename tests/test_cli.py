@@ -263,6 +263,64 @@ def test_corrupted_pivot_combination_is_exit_3_under_optimize(tmp_path):
     assert "do not recombine" in payload["message"]
 
 
+# requests whose naive answer needs GiB or minutes; each is refused or answered from the entries
+OVERSIZED = {
+    "kernel-wide": (lambda d: ["linalg", "kernel", "--matrix", _file(d / "m", "dims 1 100000\n0 0 1\n")], 2, None),
+    "kernel-one-column": (
+        # 20000 stored rows, all in one column: rank at most 1
+        lambda d: [
+            "linalg", "kernel",
+            "--matrix", _file(d / "m", "dims 20000 20000\n" + "".join(f"{i} 0 1\n" for i in range(20000))),
+        ],
+        2,
+        None,
+    ),
+    "diamonds-count": (lambda d: ["cycles", "diamonds", "--n", "40"], 0, {"n": 40, "count": 172727100}),
+    "diamonds-list": (lambda d: ["cycles", "diamonds", "--n", "40", "--list"], 2, None),
+    "lattice-tall": (
+        lambda d: [
+            "linalg", "lattice-eq",
+            "--a", _file(d / "a", "dims 1000000 600\n999999 0 1\n"),
+            "--b", _file(d / "b", "dims 1 600\n0 0 1\n"),
+        ],
+        0,
+        {"cols": 600, "equal": True},
+    ),
+}
+
+# the child caps its address space at 1 GiB and reports how long main() took
+_LIMITED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from tradekernel import cli
+t0 = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(f"main_s {time.perf_counter() - t0:.3f}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_request_answered_within_limits(tmp_path, case):
+    build, want_code, want_payload = OVERSIZED[case]
+    out = subprocess.run(
+        [sys.executable, "-c", _LIMITED_MAIN, *build(tmp_path)],
+        env=dict(
+            os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tradekernel.__file__)), OPENBLAS_NUM_THREADS="1"
+        ),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert out.returncode == want_code, out.stderr
+    *lines, last = out.stderr.splitlines()
+    assert last.startswith("main_s ") and float(last.split()[1]) < 1.0, out.stderr
+    if want_code == 2:
+        assert out.stdout == "" and lines[0].startswith("error: ") and "above the cap" in lines[0]
+    else:
+        assert json.loads(out.stdout)["payload"] == want_payload
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """One file of every input kind the CLI reads, plus malformed, empty, binary and missing ones."""
@@ -277,6 +335,9 @@ def fuzz_files(tmp_path_factory):
         "system-relabelled": cycles.format_cycle_system(other),
         "pair": cycles.format_trade_pair_file(cycles.enumerate_double_diamonds(6)[0].trade_pair(6)),
         "matrix": "dims 3 4\n0 0 1\n0 2 -2\n1 1 3\n2 3 1\n",
+        # declared dimensions far beyond the entries: never densified
+        "matrix-wide": "dims 1 1000000\n0 999999 1\n",
+        "matrix-tall": "dims 1000000 8\n999999 7 1\n",
         "malformed": "n=3\n1 2 x\n\n0 0\n",
         "empty": "",
     }
@@ -358,6 +419,24 @@ PAYLOAD_SHA256 = {
     ("basis", 8): "33143cfcf5fc5d5a236c90726d0cb0d17de2d99e2d315ecd2d64340f81f29d6c",
     ("basis", 9): "e994b3c3b788eae945dce27a76d18068fcbcf00c390c6e4a8a9effd61f6f86af",
 }
+
+
+# sha256 of the `cycles diamonds --list` payload, recorded when the count came from the enumeration
+DIAMONDS_LIST_SHA256 = {
+    7: "ec50c413479d2614d5388828b6398187775255f58822ced5d9b4e8f8767740b0",
+    9: "405949808e7a5655477c3de922fba2f6a6c0480e98bc7f7b01c18970e04c3eff",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DIAMONDS_LIST_SHA256))
+def test_diamond_list_pinned_and_counted(capsys, n):
+    code, rep = run_json(capsys, "cycles", "diamonds", "--n", str(n), "--list")
+    assert code == 0
+    assert hashlib.sha256(json.dumps(rep["payload"], sort_keys=True).encode()).hexdigest() == DIAMONDS_LIST_SHA256[n]
+    # without --list the count is the formula, not the enumeration, and the payload is the rest of the above
+    code, bare = run_json(capsys, "cycles", "diamonds", "--n", str(n))
+    assert code == 0
+    assert bare["payload"] == {"n": n, "count": len(rep["payload"]["diamonds"])}
 
 
 @pytest.mark.parametrize("cmd,n", sorted(PAYLOAD_SHA256))
