@@ -17,7 +17,9 @@ print a report whose payload names the error.
 import argparse
 import concurrent.futures
 import hashlib
+import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -40,7 +42,8 @@ from .errors import (
     VerificationError,
 )
 
-# the most entries a payload may hold: kernel basis cells, listed diamonds
+# the most entries a request may build or print: matrix entries, cycles,
+# diamonds, basis cells; larger requests are refused before any work
 OUTPUT_CAP = 10**6
 
 _DOMAIN_ERRORS = (
@@ -116,6 +119,32 @@ def _rank_payload(n, rows, cols, rank, mode, diamond_count=None, diamond_span_ra
         "diamond_span_rank": diamond_span_rank,
         "mode": mode,
     }
+
+
+def _refuse_above_cap(count: int, what: str) -> None:
+    """A size error (exit 2) when a request would build or print more than OUTPUT_CAP entries."""
+    if count > OUTPUT_CAP:
+        raise FormatError(f"the request needs {count} {what}, above the cap of {OUTPUT_CAP}")
+
+
+# what each --n command must build, counted from n alone; inadmissible orders
+# of find and diamond-free build nothing (exit 1 by arithmetic)
+_LATIN_M = ("inclusion matrix entries", lambda a: 3 * a.n**3)
+_CYCLES_M = ("inclusion matrix entries", lambda a: 12 * math.comb(a.n, 4))
+_DIAMONDS = ("diamonds", lambda a: cycles.diamond_count(a.n))
+_CYCLES = ("4-cycles", lambda a: 3 * math.comb(a.n, 4) if a.n % 8 == 1 else 0)
+_BUILDS = {
+    ("latin", "matrix"): _LATIN_M,
+    ("latin", "rank"): _LATIN_M,
+    ("latin", "basis"): ("basis entries", lambda a: 8 * (a.n - 1) ** 3 if a.out else 0),
+    ("cycles", "matrix"): _CYCLES_M,
+    ("cycles", "rank"): _CYCLES_M,
+    ("cycles", "diamonds"): ("diamonds", lambda a: cycles.diamond_count(a.n) if a.list else 0),
+    ("cycles", "span"): _DIAMONDS,
+    ("cycles", "basis"): _DIAMONDS,
+    ("cycles", "find"): _CYCLES,
+    ("cycles", "diamond-free"): _CYCLES,
+}
 
 
 def _order(minimum: int):
@@ -271,10 +300,16 @@ def _run_latin(args, command, t0):
             None,
         )
     if args.sub == "basis":
-        vecs = latin.intercalate_basis(args.n)
-        payload = {"n": args.n, "count": len(vecs)}
+        n = args.n
+        payload = {"n": n, "count": (n - 1) ** 3}
         if args.out:
-            stack = exactla.SparseIntMatrix.from_dense([v.to_ints() for v in vecs])
+            # row t is B_ijk for the t-th (i,j,k) in lexicographic order
+            entries = {
+                (t, latin.triple_index(n, *cell)): s
+                for t, ijk in enumerate(itertools.product(range(1, n), repeat=3))
+                for cell, s in latin.intercalate_cells(*ijk, n)
+            }
+            stack = exactla.SparseIntMatrix((n - 1) ** 3, n**3, entries)
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(exactla.dump_matrix(stack))
             payload["out"] = args.out
@@ -386,8 +421,6 @@ def _run_cycles(args, command, t0):
         count = cycles.diamond_count(args.n)
         payload = {"n": args.n, "count": count}
         if args.list:
-            if count > OUTPUT_CAP:
-                raise FormatError(f"--list would print {count} diamonds, above the cap of {OUTPUT_CAP}")
             ds = cycles.enumerate_double_diamonds(args.n) if args.n >= 6 else []
             payload["diamonds"] = [cycles.format_diamond(d) for d in ds]
         return payload, {"n": args.n}, None
@@ -428,9 +461,10 @@ def _run_cycles(args, command, t0):
         if args.trade:
             text = _read(args.trade)
             tp = cycles.parse_trade_pair_file(text)
+            n = tp.n
+            _refuse_above_cap(cycles.diamond_count(n), "diamonds")
             v = cycles.trade_vector(tp)
             digest = {"trade": text}
-            n = tp.n
         else:
             if not args.b:
                 raise FormatError("cycles decompose needs --b together with --a")
@@ -438,9 +472,10 @@ def _run_cycles(args, command, t0):
             s1, s2 = cycles.parse_cycle_system(ta), cycles.parse_cycle_system(tb)
             if s1.n != s2.n:
                 raise FormatError("systems have different orders")
+            n = s1.n
+            _refuse_above_cap(cycles.diamond_count(n), "diamonds")
             v = s1.vector() - s2.vector()
             digest = {"a": ta, "b": tb}
-            n = s1.n
         dec = cycles.decompose_trade(v)
         basis = cycles.diamond_basis(n)
         support = [[cycles.format_diamond(basis[i]), c] for i, c in dec.support()]
@@ -513,6 +548,7 @@ def _run_cycles(args, command, t0):
         s1, s2 = cycles.parse_cycle_system(ta), cycles.parse_cycle_system(tb)
         if s1.n != s2.n:
             raise FormatError("systems have different orders")
+        _refuse_above_cap(cycles.diamond_count(s1.n), "diamonds")
         out = cycles.transform(
             s1, s2, mode=args.mode, lam_max=args.lam_max, seed=args.seed, budget=args.budget
         )
@@ -586,10 +622,8 @@ def _run_linalg(args, command, t0):
     if args.sub == "kernel":
         text = _read(args.matrix)
         m = exactla.parse_matrix(text)
-        # rank <= stored rows and <= stored columns, so the basis has at least this many entries
-        cells = (m.n_cols - min(len({r for r, _ in m.entries}), len({c for _, c in m.entries}))) * m.n_cols
-        if cells > OUTPUT_CAP:
-            raise FormatError(f"the kernel basis has at least {cells} entries, above the cap of {OUTPUT_CAP}")
+        # the basis has nullity vectors of cols entries each
+        _refuse_above_cap((m.n_cols - exactla.rank_exact(m)) * m.n_cols, "kernel basis entries")
         basis = exactla.kernel_basis(m)
         payload = {"rows": m.n_rows, "cols": m.n_cols, "nullity": len(basis)}
         if args.out:
@@ -628,6 +662,9 @@ def main(argv=None) -> int:
     command = f"{args.group} {args.sub}"
     t0 = time.perf_counter()
     try:
+        if (args.group, args.sub) in _BUILDS:
+            what, count = _BUILDS[args.group, args.sub]
+            _refuse_above_cap(count(args), what)
         payload, digest_parts, seed = _RUNNERS[args.group](args, command, t0)
     except _Negative as neg:
         _emit(args, command, neg.payload, {"argv": " ".join(argv)}, t0=t0)

@@ -268,6 +268,13 @@ class TripleVector:
         return f"TripleVector(n={self.n}, nnz={int(np.count_nonzero(self.entries))})"
 
 
+def line_label(n: int, r: int) -> str:
+    """Label of row r of the order-n inclusion matrix: rc(i,j), rs(i,k) or cs(j,k)."""
+    block, rest = divmod(r, n * n)
+    u1, u2 = divmod(rest, n)
+    return f"{('rc', 'rs', 'cs')[block]}({u1},{u2})"
+
+
 @dataclass(frozen=True)
 class InclusionMatrix:
     """The 3n^2 x n^3 latin inclusion matrix with labeled rows."""
@@ -276,11 +283,7 @@ class InclusionMatrix:
     matrix: SparseIntMatrix
 
     def row_label(self, r: int) -> str:
-        n = self.n
-        block, rest = divmod(r, n * n)
-        u1, u2 = divmod(rest, n)
-        kind = ("rc", "rs", "cs")[block]
-        return f"{kind}({u1},{u2})"
+        return line_label(self.n, r)
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,13 +310,12 @@ def build_inclusion_matrix(n: int) -> InclusionMatrix:
 def _first_violated_line(v: TripleVector) -> Optional[tuple[int, str, int]]:
     """(row index, label, value) of the first nonzero line sum, or None."""
     n = v.n
-    m = build_inclusion_matrix(n)
     for block, table in enumerate(v.line_sums()):
         nz = np.argwhere(table != 0)
         if nz.size:
             u1, u2 = int(nz[0][0]), int(nz[0][1])
             r = block * n * n + u1 * n + u2
-            return r, m.row_label(r), int(table[u1, u2])
+            return r, line_label(n, r), int(table[u1, u2])
     return None
 
 
@@ -331,24 +333,37 @@ def trade_vector(t: LatinTrade) -> TripleVector:
     return out
 
 
-def intercalate(i: int, j: int, k: int, n: int) -> LatinTrade:
-    """The volume-4 trade B_ijk anchored at row 0, column 0, symbol 0."""
+def intercalate_cells(i: int, j: int, k: int, n: int) -> list[tuple[tuple[int, int, int], int]]:
+    """The eight signed cells ((a, b, c), +-1) of B_ijk = (e0 - e_i) x (e0 - e_j) x (e0 - e_k).
+
+    B_ijk is the volume-4 trade anchored at row 0, column 0, symbol 0;
+    its +1 cells are P and its -1 cells are Q. Every line of the square
+    meets it in one +1 and one -1 cell or not at all, so its line sums
+    are zero. Cells come in lexicographic (a, b, c) order.
+    """
     if not (1 <= i < n and 1 <= j < n and 1 <= k < n):
         raise ValueError(f"need 1 <= i,j,k <= {n - 1}, got ({i},{j},{k})")
-    p = PartialLatinSquare(n, [(0, 0, 0), (0, j, k), (i, 0, k), (i, j, 0)])
-    q = PartialLatinSquare(n, [(0, 0, k), (0, j, 0), (i, 0, 0), (i, j, k)])
+    return [
+        ((a, b, c), sa * sb * sc)
+        for a, sa in ((0, 1), (i, -1))
+        for b, sb in ((0, 1), (j, -1))
+        for c, sc in ((0, 1), (k, -1))
+    ]
+
+
+def intercalate(i: int, j: int, k: int, n: int) -> LatinTrade:
+    """The volume-4 trade B_ijk anchored at row 0, column 0, symbol 0."""
+    cells = intercalate_cells(i, j, k, n)
+    p = PartialLatinSquare(n, [t for t, s in cells if s > 0])
+    q = PartialLatinSquare(n, [t for t, s in cells if s < 0])
     return LatinTrade(p, q)
 
 
 def intercalate_vector(i: int, j: int, k: int, n: int) -> TripleVector:
     """Vector of B_ijk: the tensor (e0 - e_i) x (e0 - e_j) x (e0 - e_k)."""
-    if not (1 <= i < n and 1 <= j < n and 1 <= k < n):
-        raise ValueError(f"need 1 <= i,j,k <= {n - 1}, got ({i},{j},{k})")
     v = np.zeros(n**3, dtype=np.int64)
-    for a, sa in ((0, 1), (i, -1)):
-        for b, sb in ((0, 1), (j, -1)):
-            for c, sc in ((0, 1), (k, -1)):
-                v[triple_index(n, a, b, c)] = sa * sb * sc
+    for t, s in intercalate_cells(i, j, k, n):
+        v[triple_index(n, *t)] = s
     return TripleVector(n, v)
 
 
@@ -379,13 +394,13 @@ def decompose(v: TripleVector) -> dict[tuple[int, int, int], int]:
     cube = v.cube()
     coeffs: dict[tuple[int, int, int], int] = {}
     recon = np.zeros(n**3, dtype=np.int64)
-    for i in range(1, n):
-        for j in range(1, n):
-            for k in range(1, n):
-                c = -int(cube[i, j, k])
-                if c:
-                    coeffs[(i, j, k)] = c
-                    recon += c * intercalate_vector(i, j, k, n).entries
+    # argwhere lists the nonzeros in C order, which is lexicographic (i,j,k)
+    for i, j, k in np.argwhere(cube[1:, 1:, 1:]).tolist():
+        i, j, k = i + 1, j + 1, k + 1
+        c = -int(cube[i, j, k])
+        coeffs[(i, j, k)] = c
+        for t, s in intercalate_cells(i, j, k, n):
+            recon[triple_index(n, *t)] += c * s
     if not np.array_equal(recon, v.entries):
         raise VerificationError("intercalate coefficients do not reconstruct the vector")
     return coeffs
@@ -415,7 +430,11 @@ def apply_move(state: TripleVector, i: int, j: int, k: int, sign: int) -> Triple
     for table in state.line_sums():
         if not (table == 1).all():
             raise ValueError("malformed state: some line sum differs from 1")
-    return state.add_scaled(intercalate_vector(i, j, k, state.n), sign)
+    n = state.n
+    out = TripleVector(n, state.entries)
+    for t, s in intercalate_cells(i, j, k, n):
+        out.entries[triple_index(n, *t)] += sign * s
+    return out
 
 
 @dataclass(frozen=True)
@@ -455,14 +474,25 @@ def transform(l1: LatinSquare, l2: LatinSquare) -> MovePlan:
             sign = -1 if c > 0 else 1
             if sign == want:
                 moves.extend((sign, i, j, k) for _ in range(abs(c)))
-    state = start
+    # Replay on plain ints. The start is a latin square (unit line sums)
+    # and every B_ijk has zero line sums, so no move can change a line
+    # sum: only the eight touched entries and the improper count move.
+    n = l1.n
+    state = start.entries.tolist()
+    improper = 0
     counts = []
     for sign, i, j, k in moves:
-        state = apply_move(state, i, j, k, sign)
-        counts.append(state.improper_count())
-    if state != goal:
+        for t, s in intercalate_cells(i, j, k, n):
+            x = triple_index(n, *t)
+            old = state[x]
+            state[x] = new = old + sign * s
+            improper += (new not in (0, 1)) - (old not in (0, 1))
+        counts.append(improper)
+    if state != goal.entries.tolist():
         raise VerificationError("replaying the move plan does not reach the goal square")
-    return MovePlan(l1.n, tuple(moves), tuple(counts))
+    if improper != 0:
+        raise VerificationError(f"the replay reaches the goal square with {improper} improper cells counted")
+    return MovePlan(n, tuple(moves), tuple(counts))
 
 
 # ---------------------------------------------------------------------------

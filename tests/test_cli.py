@@ -275,6 +275,20 @@ OVERSIZED = {
         2,
         None,
     ),
+    "kernel-dependent-rows": (
+        # rows 2k and 2k+1 are equal, so 3000 stored rows and columns have rank 1500
+        lambda d: [
+            "linalg", "kernel",
+            "--matrix", _file(
+                d / "m", "dims 3000 3000\n" + "".join(f"{r} {r // 2 * 2 + e} 1\n" for r in range(3000) for e in (0, 1))
+            ),
+        ],
+        2,
+        None,
+    ),
+    "latin-basis-30": (lambda d: ["latin", "basis", "--n", "30"], 0, {"n": 30, "count": 24389}),
+    "latin-rank-200": (lambda d: ["latin", "rank", "--n", "200"], 2, None),
+    "span-40": (lambda d: ["cycles", "span", "--n", "40"], 2, None),
     "diamonds-count": (lambda d: ["cycles", "diamonds", "--n", "40"], 0, {"n": 40, "count": 172727100}),
     "diamonds-list": (lambda d: ["cycles", "diamonds", "--n", "40", "--list"], 2, None),
     "lattice-tall": (
@@ -321,6 +335,47 @@ def test_oversized_request_answered_within_limits(tmp_path, case):
         assert json.loads(out.stdout)["payload"] == want_payload
 
 
+# each --n command, the largest order whose build fits OUTPUT_CAP, and the smallest order it refuses
+SIZE_LIMITS = [
+    (["latin", "matrix"], 69, 70),
+    (["latin", "rank"], 69, 70),
+    (["latin", "basis", "--out", "b.txt"], 51, 52),
+    (["cycles", "matrix"], 39, 40),
+    (["cycles", "rank"], 39, 40),
+    (["cycles", "span"], 18, 19),
+    (["cycles", "basis"], 18, 19),
+    (["cycles", "diamonds", "--list"], 18, 19),
+    # 55 and 56 are not 1 mod 8: no system exists, which is answered by arithmetic (exit 1)
+    (["cycles", "find"], 54, 57),
+    (["cycles", "diamond-free"], 54, 57),
+]
+
+
+@pytest.mark.parametrize("argv,largest,refused", SIZE_LIMITS, ids=lambda x: "-".join(x) if isinstance(x, list) else str(x))
+def test_size_preflight_from_n(capsys, argv, largest, refused):
+    group, sub, *rest = argv
+    _, count = cli._BUILDS[group, sub]
+    assert count(cli.build_parser().parse_args([group, sub, "--n", str(largest), *rest])) <= cli.OUTPUT_CAP
+    code, out, err = run(capsys, group, sub, "--n", str(refused), *rest)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "above the cap" in err
+
+
+def test_size_preflight_from_file_order(capsys, tmp_path):
+    # cycles decompose and transform build the diamond basis at the order of their input files
+    big = cycles.DoubleDiamond((0, 1), (2, 3, 4, 5), 0, 1)
+    pair = _file(tmp_path / "d.pair", cycles.format_trade_pair_file(big.trade_pair(19)))
+    system = _file(tmp_path / "s.cyc", cycles.format_cycle_system(cycles.find_cycle_system(25)))
+    for argv in (
+        ["cycles", "decompose", "--trade", pair],
+        ["cycles", "decompose", "--a", system, "--b", system],
+        ["cycles", "transform", "--a", system, "--b", system],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "above the cap" in err
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """One file of every input kind the CLI reads, plus malformed, empty, binary and missing ones."""
@@ -349,7 +404,8 @@ def fuzz_files(tmp_path_factory):
 
 def _fuzz_argv(files):
     f = st.sampled_from(sorted(files.values()))
-    n = st.integers(-2, 10).map(str)
+    # 1001 and 1000001 are 1 mod 8, so only the size preflight stops find and diamond-free
+    n = st.one_of(st.integers(-2, 10), st.sampled_from([1001, 1000001])).map(str)
     mod = st.sampled_from(["2", "4", "2147483647"])
     budget = st.integers(-1, 2000).map(str)
 

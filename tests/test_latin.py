@@ -1,5 +1,7 @@
 """Latin squares, trades, the inclusion matrix, and intercalate moves."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -20,6 +22,7 @@ from tradekernel.latin import (
     decompose,
     difference_trade,
     intercalate_basis,
+    intercalate_cells,
     intercalate_vector,
     parse_move_plan,
     parse_square,
@@ -205,6 +208,89 @@ class TestIntercalateBasis:
         assert decompose(v) == {(1, 2, 1): 1}
 
 
+class TestIntercalateCells:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_intercalate(self, n):
+        for i in range(1, n):
+            for j in range(1, n):
+                for k in range(1, n):
+                    cells = intercalate_cells(i, j, k, n)
+                    assert len({t for t, _ in cells}) == 8
+                    v = TripleVector(n)
+                    for t, s in cells:
+                        v.entries[triple_index(n, *t)] = s
+                    for table in v.line_sums():
+                        assert not table.any()
+                    assert v == intercalate_vector(i, j, k, n)
+                    t = latin.intercalate(i, j, k, n)
+                    assert t.p.triples == {c for c, s in cells if s == 1}
+                    assert t.q.triples == {c for c, s in cells if s == -1}
+
+    @pytest.mark.parametrize("ijk", [(0, 1, 1), (1, 3, 1), (1, 1, -1)])
+    def test_range_checked(self, ijk):
+        with pytest.raises(ValueError):
+            intercalate_cells(*ijk, 3)
+
+
+# pairs drawn per order, and the sha256 of their transform plans (moves,
+# improper_counts) and decompose coefficients, recorded with the replay that
+# rechecked every line sum and recounted every entry after each move
+GOLDEN_PAIRS = {2: 3, 3: 3, 4: 3, 5: 3, 6: 3, 7: 3, 8: 3, 20: 2, 30: 2}
+GOLDEN_SHA256 = {
+    2: "d89f9a2524e7afaacae0f2d13345dca937712a5c5fff9ee91df7fefb9f88d6c0",
+    3: "41720f2bfe96d1148426a528d3b725de0ea2c638082b3c84e1ee3a666f982cf5",
+    4: "95a08ab9735378e4cc014f0ad4cf8d8ae2297515df2b25de0b9117f752a3e0e7",
+    5: "1a2510112742d9d1c1b702caf5c4d2607f021ae605371bf9e0bc91d036cf6562",
+    6: "23d4b980ac835139290279d42d20cc4d445fd5667efc4b3a4b31fcb0ee00a779",
+    7: "ea284ad6066bc10ae40ef16150c826e73660c0570dee1af5cf247e9f0a1f134e",
+    8: "b5c8550de710f3c03d52c198020b5bd491ce73b4dd375828e4e3c0d95089602a",
+    20: "31e4f215ef9535398828b71bd7751a3aadb4a843f59fb178743a99019a1448a2",
+    30: "d9bc93248c9c3505e0c52b1882e3b3728f71c5ad30acd40bf372fa8a846a7d95",
+}
+
+
+def golden_pairs(n):
+    rng = random.Random(1000 + n)
+    return [(random_square(n, rng), random_square(n, rng)) for _ in range(GOLDEN_PAIRS[n])]
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_SHA256))
+def test_plans_and_coefficients_pinned(n):
+    out = []
+    for a, b in golden_pairs(n):
+        plan = transform(a, b)
+        coeffs = decompose(TripleVector.from_square(a) - TripleVector.from_square(b))
+        out.append({
+            "moves": [list(m) for m in plan.moves],
+            "improper_counts": list(plan.improper_counts),
+            "coefficients": [[*ijk, c] for ijk, c in sorted(coeffs.items())],
+        })
+    assert hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest() == GOLDEN_SHA256[n]
+
+
+def test_latin_paths_never_build_the_inclusion_matrix():
+    rng = random.Random(5)
+    a, b = random_square(7, rng), random_square(7, rng)
+    trade = difference_trade(a, b)
+    before = build_inclusion_matrix.cache_info()
+    decompose(trade_vector(trade))
+    transform(a, b)
+    with pytest.raises(KernelMembershipError) as e:
+        decompose(TripleVector.from_square(a))
+    assert build_inclusion_matrix.cache_info() == before
+    assert e.value.label == build_inclusion_matrix(7).row_label(e.value.row)
+
+
+def test_transform_checks_line_sums_once(monkeypatch):
+    # only decompose's kernel check reads line sums; no move can change one
+    calls = []
+    line_sums = TripleVector.line_sums
+    monkeypatch.setattr(TripleVector, "line_sums", lambda v: calls.append(v) or line_sums(v))
+    plan = transform(*golden_pairs(8)[0])
+    assert len(plan.moves) > 1
+    assert len(calls) == 1
+
+
 class TestMoves:
     def test_apply_move_keeps_line_sums(self):
         state = TripleVector.from_square(cyclic(3))
@@ -212,6 +298,14 @@ class TestMoves:
         for table in out.line_sums():
             assert (table == 1).all()
         assert out.improper_count() > 0
+        assert state == TripleVector.from_square(cyclic(3))
+
+    def test_apply_move_rejects_malformed_state(self):
+        state = apply_move(TripleVector.from_square(cyclic(3)), 1, 1, 1, +1)
+        with pytest.raises(ValueError):
+            apply_move(state.add_scaled(state, 1), 1, 1, 1, +1)
+        with pytest.raises(ValueError):
+            apply_move(state, 1, 1, 1, 2)
 
     def test_transform_replay_lands_on_target(self):
         rng = random.Random(7)
