@@ -15,19 +15,17 @@ print a report whose payload names the error.
 """
 
 import argparse
-import concurrent.futures
 import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 import time
 import warnings
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from . import __version__, cycles, exactla, latin
 from .errors import (
@@ -62,7 +60,7 @@ def _jsonable(x):
         return x
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):  # numpy registers its integer types here
         x = int(x)
         return x if abs(x) <= 2**53 - 1 else str(x)
     if isinstance(x, float):
@@ -506,6 +504,8 @@ def _run_cycles(args, command, t0):
             params = [
                 (args.n, args.seed + i * 1000003, share, args.budget) for i in range(args.jobs)
             ]
+            import concurrent.futures
+
             workers = _pool_size(args.jobs, os.cpu_count())
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
                 results = list(ex.map(_diamond_free_chunk, params))

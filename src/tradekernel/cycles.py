@@ -23,6 +23,8 @@ recombination before it is returned. Every such check raises
 VerificationError, never asserts, so `python -O` keeps it.
 """
 
+from __future__ import annotations
+
 import functools
 import heapq
 import itertools
@@ -33,9 +35,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import kernels
 from .errors import (
@@ -53,6 +53,9 @@ from .exactla import SparseEchelon, SparseIntMatrix, rank_exact_dense, rank_mod_
 from .exactla import coefficients_in_span  # noqa: F401
 from .primes import default_primes
 from .primes import sample_primes  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SEED = 1
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -153,14 +156,17 @@ def cycle_index_map(n: int) -> dict[FourCycle, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def cycle_edge_array(n: int) -> np.ndarray:
-    """Edge indices of every canonical cycle, shape (3*C(n,4), 4)."""
-    cycles = enumerate_cycles(n)
-    arr = np.empty((len(cycles), 4), dtype=np.int64)
-    for i, c in enumerate(cycles):
-        for j, (u, v) in enumerate(c.edge_pairs()):
-            arr[i, j] = edge_index(u, v, n)
-    return arr
+def cycle_edge_array(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Edge indices of every canonical cycle, one 4-tuple per cycle in enumeration order.
+
+    Row i lists the edges of enumerate_cycles(n)[i] in edge_pairs() order.
+    """
+    eidx = [[0] * n for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        eidx[u][v] = eidx[v][u] = edge_index(u, v, n)
+    return tuple(
+        (eidx[a][b], eidx[b][c], eidx[c][d], eidx[d][a]) for a, b, c, d in enumerate_cycles(n)
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,11 +179,8 @@ def build_inclusion_matrix(n: int) -> SparseIntMatrix:
     if n < 4:
         raise ValueError("need n >= 4")
     arr = cycle_edge_array(n)
-    entries = {}
-    for col in range(arr.shape[0]):
-        for e in arr[col]:
-            entries[(int(e), col)] = 1
-    return SparseIntMatrix(edge_count(n), arr.shape[0], entries)
+    entries = {(e, col): 1 for col, edges in enumerate(arr) for e in edges}
+    return SparseIntMatrix(edge_count(n), len(arr), entries)
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,6 +202,8 @@ class CycleVector:
     __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: Optional[np.ndarray] = None):
+        import numpy as np
+
         dim = 3 * math.comb(n, 4)
         if entries is None:
             entries = np.zeros(dim, dtype=np.int64)
@@ -211,6 +216,8 @@ class CycleVector:
 
     @classmethod
     def from_multiset(cls, n: int, cycles: Mapping[FourCycle, int]) -> "CycleVector":
+        import numpy as np
+
         idx = cycle_index_map(n)
         v = np.zeros(3 * math.comb(n, 4), dtype=np.int64)
         for c, mult in cycles.items():
@@ -218,6 +225,8 @@ class CycleVector:
         return cls(n, v)
 
     def support(self) -> list[tuple[FourCycle, int]]:
+        import numpy as np
+
         cycles = enumerate_cycles(self.n)
         return [(cycles[int(i)], int(self.entries[i])) for i in np.nonzero(self.entries)[0]]
 
@@ -246,6 +255,8 @@ class CycleVector:
         return CycleVector(self.n, -self.entries)
 
     def __eq__(self, other) -> bool:
+        import numpy as np
+
         return (
             isinstance(other, CycleVector)
             and self.n == other.n
@@ -253,6 +264,8 @@ class CycleVector:
         )
 
     def __repr__(self) -> str:
+        import numpy as np
+
         return f"CycleVector(n={self.n}, nnz={int(np.count_nonzero(self.entries))})"
 
 
@@ -350,6 +363,8 @@ class CycleTradePair:
 
 def trade_vector(tp: CycleTradePair) -> CycleVector:
     """+1 on T, -1 on T*. M X = 0 is checked via the edge multisets."""
+    import numpy as np
+
     idx = cycle_index_map(tp.n)
     v = np.zeros(3 * math.comb(tp.n, 4), dtype=np.int64)
     for c in tp.t:
@@ -429,6 +444,8 @@ class DoubleDiamond:
 
 def diamond_vector(d: DoubleDiamond, n: int) -> CycleVector:
     """+1 on the source cycles, -1 on the target cycles."""
+    import numpy as np
+
     idx = cycle_index_map(n)
     v = np.zeros(3 * math.comb(n, 4), dtype=np.int64)
     for c in d.source_cycles():
@@ -469,7 +486,7 @@ def _diamond_stack(n: int) -> tuple[tuple[DoubleDiamond, ...], tuple[dict[int, i
     if not diamonds:
         return diamonds, ()
     idx = cycle_index_map(n)
-    edges = cycle_edge_array(n).tolist()
+    edges = cycle_edge_array(n)
     rows = []
     for d in diamonds:
         s0, s1 = (idx[c] for c in d.source_cycles())
@@ -596,6 +613,14 @@ def _solve_factor(n: int) -> SparseEchelon:
     return echelon
 
 
+def _nonzero_entries(v: CycleVector) -> dict[int, int]:
+    """{cycle index: entry} over the nonzero entries of v."""
+    import numpy as np
+
+    nz = np.flatnonzero(v.entries)
+    return dict(zip(nz.tolist(), v.entries[nz].tolist()))
+
+
 def _verify_recombination(
     n: int, sel: Sequence[int], coeffs: Sequence[Fraction], v: CycleVector
 ) -> bool:
@@ -617,14 +642,9 @@ def _verify_recombination(
             acc[idx[cyc]] = acc.get(idx[cyc], 0) + c
         for cyc in d.target_cycles():
             acc[idx[cyc]] = acc.get(idx[cyc], 0) - c
-    for j, val in acc.items():
-        if val != scale * int(v.entries[j]):
-            return False
-    nonzero = {j for j, val in acc.items() if val}
-    for j in np.nonzero(v.entries)[0]:
-        if int(j) not in nonzero:
-            return False
-    return True
+    return {j: val for j, val in acc.items() if val} == {
+        j: scale * x for j, x in _nonzero_entries(v).items()
+    }
 
 
 def decompose_trade(v: CycleVector) -> DiamondDecomposition:
@@ -641,8 +661,7 @@ def decompose_trade(v: CycleVector) -> DiamondDecomposition:
     if v.is_zero():
         coeffs: tuple[Fraction, ...] = tuple(Fraction(0) for _ in sel)
         return DiamondDecomposition(n, coeffs, True)
-    nz = np.flatnonzero(v.entries)
-    coords = _solve_factor(n).coordinates(dict(zip(nz.tolist(), v.entries[nz].tolist())))
+    coords = _solve_factor(n).coordinates(_nonzero_entries(v))
     if coords is None:
         # the basis spans ker M and v lies in it, so this cannot happen
         raise VerificationError(f"n={n}: a kernel vector is outside the span of the diamond basis")
@@ -660,30 +679,21 @@ def decompose_trade(v: CycleVector) -> DiamondDecomposition:
 @functools.lru_cache(maxsize=None)
 def _cycles_by_edge(n: int) -> tuple[tuple[int, ...], ...]:
     """Per edge, the indices of the cycles through it, in enumeration order."""
-    arr = cycle_edge_array(n)
     by_edge: list[list[int]] = [[] for _ in range(edge_count(n))]
-    for ci, edges in enumerate(arr.tolist()):
+    for ci, edges in enumerate(cycle_edge_array(n)):
         for e in edges:
             by_edge[e].append(ci)
     return tuple(tuple(b) for b in by_edge)
 
 
 def _run_cover(n: int, by_edge: Sequence[Sequence[int]], budget: int) -> CycleSystem:
-    arr = cycle_edge_array(n)
-    ne = edge_count(n)
-    maxdeg = max((len(b) for b in by_edge), default=0)
-    cand = np.full((ne, maxdeg), -1, dtype=np.int64)
-    cand_len = np.zeros(ne, dtype=np.int64)
-    for e, lst in enumerate(by_edge):
-        cand[e, : len(lst)] = lst
-        cand_len[e] = len(lst)
-    status, chosen, _nodes = kernels.cover_dfs(ne, arr, cand, cand_len, budget)
+    status, chosen, _nodes = kernels.cover_dfs(edge_count(n), cycle_edge_array(n), by_edge, budget)
     if status == 1:
         raise SearchExhaustedError(budget, f"4CS({n}) cover search")
     if status == 2:
         raise RuntimeError(f"exhaustive search found no 4CS({n}); admissibility arithmetic is wrong")
     cycles = enumerate_cycles(n)
-    return CycleSystem(n, [cycles[int(i)] for i in chosen if i >= 0])
+    return CycleSystem(n, [cycles[i] for i in chosen])
 
 
 def find_cycle_system(n: int, budget: Optional[int] = None) -> CycleSystem:

@@ -1,7 +1,9 @@
 """Hot numeric kernels: modular elimination and the cover search.
 
-Plain numpy loops, one implementation per kernel. Each routine states
-its fixed pivot rule, so results depend only on the input and the prime.
+One implementation per kernel. The mod-p routines are numpy array loops
+and import numpy when called; the cover search walks Python lists and
+never loads it. Each routine states its fixed pivot rule, so results
+depend only on the input and the prime.
 
 Overflow discipline: all moduli are below 2**31, so a single product of
 two residues is below 2**62 and a rank-one update step stays inside
@@ -9,7 +11,12 @@ int64. Matrix-vector products sum many products and would overflow, so
 modp_matvec splits the vector into 16-bit halves first.
 """
 
-import numpy as np
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def greedy_rank_filter(vectors: np.ndarray, p: int) -> np.ndarray:
@@ -20,6 +27,8 @@ def greedy_rank_filter(vectors: np.ndarray, p: int) -> np.ndarray:
     a row becomes a pivot its column is cleared from all later rows, so
     every row is fully reduced by the time it is inspected.
     """
+    import numpy as np
+
     a = np.ascontiguousarray(vectors, dtype=np.int64) % p
     nrows, ncols = a.shape
     sel = []
@@ -51,6 +60,8 @@ def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     Pivot rule: sweep columns left to right, take the first row at or
     below the current rank with a nonzero entry.
     """
+    import numpy as np
+
     m = np.ascontiguousarray(a, dtype=np.int64) % p
     nrows, ncols = m.shape
     piv = []
@@ -79,32 +90,33 @@ def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cover_dfs(
     n_edges: int,
-    cyc_edges: np.ndarray,
-    cand: np.ndarray,
-    cand_len: np.ndarray,
+    cyc_edges: Sequence[Sequence[int]],
+    by_edge: Sequence[Sequence[int]],
     budget: int,
-) -> tuple[int, np.ndarray, int]:
+) -> tuple[int, list[int], int]:
     """Depth-first exact cover of edges by 4-cycles.
 
-    Branches on the lowest uncovered edge; candidates are tried in the
-    order given by `cand`. Returns (status, chosen, nodes) with status
-    0 = found, 1 = budget exhausted, 2 = unsatisfiable.
+    Branches on the lowest uncovered edge; the candidates of edge e are
+    tried in the order of by_edge[e]. Returns (status, chosen, nodes)
+    with status 0 = found, 1 = budget exhausted, 2 = unsatisfiable;
+    chosen has one slot per level, -1 where nothing is chosen.
     """
     need = n_edges // 4
-    covered = np.zeros(n_edges, dtype=np.bool_)
-    chosen = np.full(need, -1, dtype=np.int64)
-    it_stack = np.zeros(need, dtype=np.int64)
-    edge_stack = np.zeros(need, dtype=np.int64)
+    covered = [False] * n_edges
+    chosen = [-1] * need
+    it_stack = [0] * need
+    edge_stack = [0] * need
     depth = 0
     nodes = 0
     if need == 0:
         return 0, chosen, nodes
     while True:
         e = edge_stack[depth]
+        cands = by_edge[e]
         i = it_stack[depth]
         advanced = False
-        while i < cand_len[e]:
-            j = int(cand[e, i])
+        while i < len(cands):
+            j = cands[i]
             e0, e1, e2, e3 = cyc_edges[j]
             if not (covered[e0] or covered[e1] or covered[e2] or covered[e3]):
                 nodes += 1
@@ -126,11 +138,10 @@ def cover_dfs(
             i += 1
         if advanced:
             continue
-        it_stack[depth] = i
         depth -= 1
         if depth < 0:
             return 2, chosen, nodes
-        j = int(chosen[depth])
+        j = chosen[depth]
         e0, e1, e2, e3 = cyc_edges[j]
         covered[e0] = covered[e1] = covered[e2] = covered[e3] = False
         chosen[depth] = -1
@@ -147,6 +158,8 @@ def modp_matvec(e: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     v is split into 16-bit halves so each partial sum stays below 2**56
     even for rows of several thousand entries.
     """
+    import numpy as np
+
     vm = np.asarray(v, dtype=np.int64) % p
     hi = vm >> 16
     lo = vm & 0xFFFF

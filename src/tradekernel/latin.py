@@ -15,14 +15,17 @@ vector lies in ker M exactly when all its line sums vanish, which is how
 kernel membership is checked here without forming M.
 """
 
+from __future__ import annotations
+
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 from .errors import FormatError, IdenticalSquaresError, KernelMembershipError, VerificationError
 from .exactla import SparseIntMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def triple_index(n: int, i: int, j: int, k: int) -> int:
@@ -200,6 +203,8 @@ class TripleVector:
     __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: Optional[np.ndarray] = None):
+        import numpy as np
+
         if n < 1:
             raise ValueError("order must be at least 1")
         if entries is None:
@@ -213,6 +218,8 @@ class TripleVector:
 
     @classmethod
     def from_square(cls, sq: LatinSquare) -> "TripleVector":
+        import numpy as np
+
         v = np.zeros(sq.n**3, dtype=np.int64)
         for i, j, k in sq.triples():
             v[triple_index(sq.n, i, j, k)] = 1
@@ -231,6 +238,8 @@ class TripleVector:
 
     def improper_count(self) -> int:
         """Number of entries outside {0, 1}."""
+        import numpy as np
+
         e = self.entries
         return int(np.count_nonzero((e != 0) & (e != 1)))
 
@@ -238,6 +247,8 @@ class TripleVector:
         return not self.entries.any()
 
     def support(self) -> list[tuple[int, int, int]]:
+        import numpy as np
+
         return [triple_at(self.n, int(i)) for i in np.nonzero(self.entries)[0]]
 
     def to_ints(self) -> list[int]:
@@ -258,6 +269,8 @@ class TripleVector:
         return TripleVector(self.n, -self.entries)
 
     def __eq__(self, other) -> bool:
+        import numpy as np
+
         return (
             isinstance(other, TripleVector)
             and self.n == other.n
@@ -265,6 +278,8 @@ class TripleVector:
         )
 
     def __repr__(self) -> str:
+        import numpy as np
+
         return f"TripleVector(n={self.n}, nnz={int(np.count_nonzero(self.entries))})"
 
 
@@ -309,6 +324,8 @@ def build_inclusion_matrix(n: int) -> InclusionMatrix:
 
 def _first_violated_line(v: TripleVector) -> Optional[tuple[int, str, int]]:
     """(row index, label, value) of the first nonzero line sum, or None."""
+    import numpy as np
+
     n = v.n
     for block, table in enumerate(v.line_sums()):
         nz = np.argwhere(table != 0)
@@ -321,6 +338,8 @@ def _first_violated_line(v: TripleVector) -> Optional[tuple[int, str, int]]:
 
 def trade_vector(t: LatinTrade) -> TripleVector:
     """+1 on P, -1 on Q. Kernel membership (all line sums zero) is checked."""
+    import numpy as np
+
     v = np.zeros(t.n**3, dtype=np.int64)
     for i, j, k in t.p.triples:
         v[triple_index(t.n, i, j, k)] += 1
@@ -361,6 +380,8 @@ def intercalate(i: int, j: int, k: int, n: int) -> LatinTrade:
 
 def intercalate_vector(i: int, j: int, k: int, n: int) -> TripleVector:
     """Vector of B_ijk: the tensor (e0 - e_i) x (e0 - e_j) x (e0 - e_k)."""
+    import numpy as np
+
     v = np.zeros(n**3, dtype=np.int64)
     for t, s in intercalate_cells(i, j, k, n):
         v[triple_index(n, *t)] = s
@@ -387,6 +408,8 @@ def decompose(v: TripleVector) -> dict[tuple[int, int, int], int]:
     The reconstruction is checked before returning, which is what makes
     the closed form trustworthy.
     """
+    import numpy as np
+
     bad = _first_violated_line(v)
     if bad is not None:
         raise KernelMembershipError(*bad)

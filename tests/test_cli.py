@@ -505,6 +505,75 @@ def test_diamond_payloads_pinned(capsys, cmd, n):
     assert hashlib.sha256(blob).hexdigest() == PAYLOAD_SHA256[(cmd, n)]
 
 
+# sha256 of json.dumps(payload, sort_keys=True), recorded while the cover
+# search ran on a numpy edge table and padded numpy candidate arrays
+SEARCH_PAYLOAD_SHA256 = {
+    ("find", "--n", "9"): "b84a3f991c3893f25cfffd1827b91e20f616eccf0e0b80c33766a8b44d7d75a1",
+    ("find", "--n", "17"): "6ffd1d17db7c1f303025beea449c7d7823fa06236f067d2e1ad1297392fcd13b",
+    ("find", "--n", "25"): "c77c651d8c134f3e6ff8fee36c7dd7e1885db6f7b2188049e73d83f9f1cbea74",
+    ("diamond-free", "--n", "9", "--seed", "1"): "aecf73bc378c6d78701ea41e8d73c318a51d0a7e15b4a4d2f3556e6a4a02c5ac",
+    ("diamond-free", "--n", "9", "--seed", "2"): "e5d376e88e40cd5b03bcf1084083e2fdaec88b2d0aad3cd7c22ee195f6c56873",
+    ("diamond-free", "--n", "9", "--seed", "3"): "be1dcdb88ec61afbef664d7df1bd4506accea500020c10a37b222d252eebe529",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SEARCH_PAYLOAD_SHA256))
+def test_search_payloads_pinned(capsys, argv):
+    code, rep = run_json(capsys, "cycles", *argv)
+    assert code == 0
+    blob = json.dumps(rep["payload"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == SEARCH_PAYLOAD_SHA256[argv]
+
+
+# Run in a fresh interpreter: the modules a command leaves loaded. An empty
+# argv only imports the CLI.
+_LOADED_PROBE = """
+import contextlib, io, json, sys
+from tradekernel import cli
+argv = json.loads(sys.argv[1])
+code = 0
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+print(json.dumps([code, [m for m in ("numpy", "concurrent.futures") if m in sys.modules]]))
+"""
+
+# commands that build no CycleVector or TripleVector
+_NUMPY_FREE = {
+    "import": [],
+    "latin-rank": ["latin", "rank", "--n", "6"],
+    "linalg-kernel": ["linalg", "kernel", "--matrix", "{m}"],
+    "lattice-eq": ["linalg", "lattice-eq", "--a", "{m}", "--b", "{m}"],
+    "span-7": ["cycles", "span", "--n", "7"],
+    "basis-7": ["cycles", "basis", "--n", "7"],
+    "diamonds-9": ["cycles", "diamonds", "--n", "9"],
+    "find-25": ["cycles", "find", "--n", "25"],
+    "diamond-free-9": ["cycles", "diamond-free", "--n", "9", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NUMPY_FREE))
+def test_command_loads_neither_numpy_nor_process_pools(tmp_path, case):
+    m = _file(tmp_path / "m.txt", "dims 3 4\n0 0 1\n0 1 2\n1 2 -1\n2 3 3\n")
+    argv = [a.format(m=m) for a in _NUMPY_FREE[case]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tradekernel.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, json.dumps(argv)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [0, []]
+
+
+def test_jsonable_numpy_integers():
+    import numpy as np
+
+    assert cli._jsonable(np.int64(5)) == 5
+    assert type(cli._jsonable(np.int64(5))) is int
+    assert cli._jsonable(np.int64(2**60)) == str(2**60)
+    assert cli._jsonable([np.int32(-7), True]) == [-7, True]
+
+
 class TestGolden:
     def test_example_trade_decomposition(self, capsys):
         code, rep = run_json(capsys, "latin", "decompose", "--trade", f"{DATA}/example4.trade")

@@ -162,6 +162,60 @@ class TestSystems:
         assert validate_trade_pair(bad, ts) is not None
 
 
+# (status, chosen, nodes) of kernels.cover_dfs, recorded while it ran on
+# padded numpy candidate arrays. Keys: (n, shuffled by random.Random(5), budget).
+COVER_DFS = {
+    (9, False, 10**6): (0, [0, 78, 38, 62, 226, 290, 317, 348, 377], 9),
+    (9, False, 5): (1, [0, 78, 38, 62, 226, -1, -1, -1, -1], 6),
+    (9, True, 10**6): (0, [16, 124, 38, 167, 189, 213, 301, 287, 368], 17),
+    (9, True, 5): (1, [16, 124, 38, 167, 189, -1, -1, -1, -1], 6),
+    (17, False, 10**6): (0, [
+        0, 354, 86, 182, 233, 272, 299, 314, 1990, 3086, 3317, 3197, 3236, 3263, 3278, 4200, 5078,
+        5117, 5144, 5159, 5657, 6176, 6215, 6242, 6257, 6762, 6840, 6800, 6824, 6988, 7052, 7079,
+        7110, 7139,
+    ], 34),
+    (17, False, 5): (1, [0, 354, 86, 182, 233] + [-1] * 29, 6),
+    (17, True, 10**6): (0, [
+        90, 385, 744, 641, 1200, 893, 1557, 821, 1899, 2157, 1772, 2572, 2854, 2486, 2983, 3187,
+        3465, 3706, 3840, 4091, 4225, 4537, 4921, 5097, 5215, 5638, 5733, 5829, 5801, 6112, 6259,
+        6332, 6675, 6793,
+    ], 135),
+    (17, True, 5): (1, [90, 385, 744, 641, 1200] + [-1] * 29, 6),
+}
+
+
+class TestCoverSearch:
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_edge_table_rows(self, n):
+        want = tuple(
+            tuple(edge_index(u, v, n) for u, v in c.edge_pairs()) for c in enumerate_cycles(n)
+        )
+        got = cycles.cycle_edge_array(n)
+        assert got == want
+        assert all(type(e) is int for row in got for e in row)
+
+    @pytest.mark.parametrize(
+        "key", sorted(COVER_DFS), ids=lambda k: f"K{k[0]}-{'shuffled' if k[1] else 'plain'}-budget{k[2]}"
+    )
+    def test_cover_dfs_pinned(self, key):
+        n, shuffled, budget = key
+        by_edge = [list(b) for b in cycles._cycles_by_edge(n)]
+        if shuffled:
+            rng = random.Random(5)
+            for b in by_edge:
+                rng.shuffle(b)
+        status, chosen, nodes = kernels.cover_dfs(edge_count(n), cycles.cycle_edge_array(n), by_edge, budget)
+        assert (status, list(chosen), nodes) == COVER_DFS[key]
+
+    def test_cover_dfs_unsatisfiable(self):
+        # edge 7 lies on no cycle, so both branches on edge 0 dead-end
+        cyc_edges = ((0, 1, 2, 3), (0, 4, 5, 6))
+        by_edge = [[0, 1], [0], [0], [0], [1], [1], [1], []]
+        assert kernels.cover_dfs(8, cyc_edges, by_edge, 10) == (2, [-1, -1], 2)
+        assert kernels.cover_dfs(8, cyc_edges, by_edge, 1) == (1, [-1, -1], 2)
+        assert kernels.cover_dfs(4, cyc_edges[:1], by_edge[:4], 10) == (0, [0], 1)
+
+
 class TestDiamonds:
     def test_enumeration_count(self):
         for n in (6, 7, 9):
