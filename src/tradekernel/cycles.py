@@ -21,6 +21,8 @@ of the two rows before them. The selected rows are cross-checked by a
 sparse mod-p rank on one prime, and every decomposition by exact
 recombination before it is returned. Every such check raises
 VerificationError, never asserts, so `python -O` keeps it.
+
+Both searches run on cycle ranks: positions in sorted(enumerate_cycles(n)).
 """
 
 from __future__ import annotations
@@ -101,9 +103,6 @@ class FourCycle(NamedTuple):
     v1: int
     v2: int
     v3: int
-
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self)
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         a, b, c, d = self
@@ -390,6 +389,16 @@ PAIRINGS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
 )
 
 
+def _pairing_cycles(poles: tuple[int, int], mids: Sequence[int], pairing: int) -> tuple[FourCycle, FourCycle]:
+    """The cycles a-x-b-y of a pairing of sorted middles, started at min(a, x)."""
+    a, b = poles
+    out = []
+    for i, j in PAIRINGS[pairing]:
+        x, y = mids[i], mids[j]
+        out.append(FourCycle(a, x, b, y) if a < x else FourCycle(x, a, y, b))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class DoubleDiamond:
     """Poles {a,b}, four middles, and two distinct pairings of the middles.
@@ -416,21 +425,11 @@ class DoubleDiamond:
         if self.source == self.target or not (0 <= self.source <= 2 and 0 <= self.target <= 2):
             raise ValueError("source and target must be distinct pairing indices 0..2")
 
-    def _cycles_of(self, pairing: int) -> tuple[FourCycle, FourCycle]:
-        a, b = self.poles
-        out = []
-        for i, j in PAIRINGS[pairing]:
-            x, y = self.middles[i], self.middles[j]
-            # canonical form of the cycle a-x-b-y: with a < b and x < y the
-            # smaller of a and x is its least vertex
-            out.append(FourCycle(a, x, b, y) if a < x else FourCycle(x, a, y, b))
-        return tuple(out)
-
     def source_cycles(self) -> tuple[FourCycle, FourCycle]:
-        return self._cycles_of(self.source)
+        return _pairing_cycles(self.poles, self.middles, self.source)
 
     def target_cycles(self) -> tuple[FourCycle, FourCycle]:
-        return self._cycles_of(self.target)
+        return _pairing_cycles(self.poles, self.middles, self.target)
 
     def move_cycles(self, sign: int) -> tuple[tuple[FourCycle, FourCycle], tuple[FourCycle, FourCycle]]:
         """(removed, added) cycles of the signed move: +1 swaps target for source."""
@@ -721,61 +720,75 @@ def _find_system_shuffled(n: int, rng: random.Random, budget: int) -> CycleSyste
 # diamond configurations in a system
 
 
-class _ConfigIndex:
-    """Diagonal -> cycles index of one cycle set, for its configuration pairs.
+def _ranks_of(cycs: Sequence[FourCycle]) -> tuple:
+    """(cycles, rank, diags, masks) of sorted cycles: rank order is FourCycle order,
+    diags the edge indices of FourCycle.diagonals."""
+    n = 1 + max(map(max, cycs))  # edge index order is the same for any larger n
+    return (
+        tuple(cycs),
+        {c: r for r, c in enumerate(cycs)},
+        tuple(tuple(edge_index(*d, n) for d in c.diagonals()) for c in cycs),
+        tuple((1 << a) | (1 << b) | (1 << c) | (1 << d) for a, b, c, d in cycs),
+    )
 
-    A configuration is an unordered cycle pair whose union is a K_{2,4}:
-    the two cycles share exactly two vertices and those form a diagonal
-    of both, so each pair sits under exactly one diagonal. A diamond move
+
+@functools.lru_cache(maxsize=None)
+def _cycle_ranks(n: int) -> tuple:
+    """_ranks_of all cycles of K_n; not cycle_index_map, whose order is not sorted."""
+    return _ranks_of(sorted(enumerate_cycles(n)))
+
+
+class _ConfigIndex:
+    """Diagonal -> ranks index of one cycle set, for its configuration pairs.
+
+    A configuration is a cycle pair whose union is a K_{2,4}: the cycles
+    share exactly two vertices, a diagonal of both, so each pair sits
+    under one diagonal and its vertex masks share two bits. A diamond move
     swaps two cycles for two others, so the change in the pair count only
     involves pairs touching those four cycles (move_delta).
     """
 
-    def __init__(self, cycles: Iterable[FourCycle]):
-        self.by_diag: dict[tuple[int, int], list[FourCycle]] = {}
-        for c in cycles:
-            self.add(c)
+    def __init__(self, table: tuple, ranks: Iterable[int]):
+        _, _, self.diags, self.masks = table
+        self.by_diag: dict[int, list[int]] = {}
+        for r in ranks:
+            self.add(r)
 
-    def add(self, c: FourCycle) -> None:
-        for diag in c.diagonals():
-            group = self.by_diag.get(diag)
-            if group is None:
-                self.by_diag[diag] = [c]
-            else:
-                group.append(c)
+    def add(self, r: int) -> None:
+        for diag in self.diags[r]:
+            self.by_diag.setdefault(diag, []).append(r)
 
-    def discard(self, c: FourCycle) -> None:
-        for diag in c.diagonals():
-            group = self.by_diag[diag]
-            group.remove(c)
-            if not group:
-                del self.by_diag[diag]
+    def discard(self, r: int) -> None:
+        for diag in self.diags[r]:
+            self.by_diag[diag].remove(r)
 
-    def pairs(self) -> list[tuple[FourCycle, FourCycle]]:
-        """All configuration pairs, by diagonal, then c1 < c2."""
+    def pairs(self) -> list[tuple[int, int]]:
+        """All configuration pairs, by diagonal, then r1 < r2."""
+        masks = self.masks
         out = []
         for diag in sorted(self.by_diag):
             group = self.by_diag[diag]
             if len(group) > 1:
                 group.sort()
-                for c1, c2 in itertools.combinations(group, 2):
-                    if len({*c1, *c2}) == 6:
-                        out.append((c1, c2))
+                for r1, r2 in itertools.combinations(group, 2):
+                    if (masks[r1] & masks[r2]).bit_count() == 2:
+                        out.append((r1, r2))
         return out
 
-    def partners(self, c: FourCycle, skip: Sequence[FourCycle] = ()) -> int:
-        """Configuration pairs c forms with the indexed cycles other than c and those in skip."""
+    def partners(self, r: int, skip: Sequence[int] = ()) -> int:
+        """Pairs r forms with indexed ranks other than r and those in skip."""
+        mask = self.masks[r]
         count = 0
-        for diag in c.diagonals():
+        for diag in self.diags[r]:
             for other in self.by_diag.get(diag, ()):
-                if other != c and other not in skip and len({*c, *other}) == 6:
+                if other != r and other not in skip and (mask & self.masks[other]).bit_count() == 2:
                     count += 1
         return count
 
-    def move_delta(self, removal: Sequence[FourCycle], addition: Sequence[FourCycle]) -> int:
-        """Change in the pair count when the indexed removal cycles give way to the addition.
+    def move_delta(self, removal: Sequence[int], addition: Sequence[int]) -> int:
+        """Change in the pair count when the indexed removal ranks give way to the addition.
 
-        The addition cycles must not be indexed, which holds for every
+        The addition ranks must not be indexed, which holds for every
         move on a 4CS: they cover the edges the removal cycles cover.
         """
         r1, r2 = removal
@@ -792,51 +805,45 @@ def diamond_config_pairs(
     """Unordered cycle pairs whose union is a K_{2,4}: exactly two shared
     vertices, diagonal in both cycles. Accepts any cycle collection; the
     pairs come by diagonal, then c1 < c2."""
-    return _ConfigIndex(cs.cycles if isinstance(cs, CycleSystem) else set(cs)).pairs()
+    cycs = sorted(set(cs.cycles if isinstance(cs, CycleSystem) else cs))
+    if not cycs:
+        return []
+    # own ranks on vertices renumbered 0..k-1 in order: same orders, k-bit masks
+    label = {v: i for i, v in enumerate(sorted({v for c in cycs for v in c}))}
+    table = _ranks_of([FourCycle(*map(label.__getitem__, c)) for c in cycs])
+    return [(cycs[r1], cycs[r2]) for r1, r2 in _ConfigIndex(table, range(len(cycs))).pairs()]
 
 
 def count_double_diamond_configs(cs: Union[CycleSystem, Iterable[FourCycle]]) -> int:
     return len(diamond_config_pairs(cs))
 
 
-def _config_pair_moves(
-    c1: FourCycle, c2: FourCycle
-) -> list[tuple[int, DoubleDiamond]]:
-    """The two signed canonical diamond moves that remove the pair {c1, c2}.
+def _pair_moves(table: tuple, r1: int, r2: int) -> list[tuple]:
+    """The two signed canonical diamond moves that remove the configuration {r1, r2}.
 
-    The shared diagonal gives the poles; the pair's pairing index r can
-    move to either other pairing t, encoded on the canonical diamond
-    (source < target) with sign +1 when r is the target side. A pair that
-    is not a configuration raises ValueError.
+    Each is (sign, (poles, middles, source, target), removed ranks, added
+    ranks): pairing r moves to either other pairing t, sign +1 when r is
+    the target. ValueError for a non-configuration.
     """
-    diags1, diags2 = c1.diagonals(), c2.diagonals()
-    poles = tuple(sorted(set(c1).intersection(c2)))
-    if len(poles) != 2 or poles not in diags1 or poles not in diags2:
-        raise ValueError(f"{tuple(c1)} and {tuple(c2)} are not a double-diamond configuration")
+    cycs, rank, diags, masks = table
+    shared = set(diags[r1]).intersection(diags[r2])
+    if len(shared) != 1 or (masks[r1] & masks[r2]).bit_count() != 2:
+        raise ValueError(f"{tuple(cycs[r1])} and {tuple(cycs[r2])} are not a double-diamond configuration")
     # each cycle joins the poles through its other diagonal, a pair of middles
-    j1 = diags1[1] if diags1[0] == poles else diags1[0]
-    j2 = diags2[1] if diags2[0] == poles else diags2[0]
+    a, b, c, d = cycs[r1]
+    poles, j1 = ((a, c), (b, d)) if diags[r1][0] in shared else ((b, d), (a, c))
+    a, b, c, d = cycs[r2]
+    j2 = (b, d) if diags[r2][0] in shared else (a, c)
     mids = tuple(sorted(j1 + j2))
     # the pairing the two cycles realise is fixed by the middle joined to mids[0]:
     # PAIRINGS[r] joins middle 0 to middle r + 1
     r = mids.index(j1[1] if j1[0] == mids[0] else j2[1]) - 1
     out = []
     for t in range(3):
-        if t == r:
-            continue
-        if t < r:
-            out.append((1, DoubleDiamond(poles, mids, t, r)))
-        else:
-            out.append((-1, DoubleDiamond(poles, mids, r, t)))
+        if t != r:
+            added = tuple(rank[c] for c in _pairing_cycles(poles, mids, t))
+            out.append((1 if t < r else -1, (poles, mids, min(t, r), max(t, r)), (r1, r2), added))
     return out
-
-
-def _pair_moves(memo: dict, pair: tuple[FourCycle, FourCycle]) -> list:
-    """_config_pair_moves(*pair) as (sign, d, removed, added), memoized in a search's own dict."""
-    moves = memo.get(pair)
-    if moves is None:
-        moves = memo[pair] = [(sign, d, *d.move_cycles(sign)) for sign, d in _config_pair_moves(*pair)]
-    return moves
 
 
 def apply_diamond_move(
@@ -852,7 +859,7 @@ def apply_diamond_move(
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    cnt = Counter(state) if not isinstance(state, Mapping) else Counter(dict(state))
+    cnt = Counter(state)
     removal, addition = d.move_cycles(sign)
     missing = [c for c in removal if cnt[c] < 1]
     if missing:
@@ -896,27 +903,26 @@ def search_diamond_free(
         return CycleSystem(1, [])
     rng = random.Random(seed)
     node_budget = search_budget(budget)
+    table = _cycle_ranks(n)
+    cycs, rank, _, _ = table
     best = None
     for _ in range(restarts):
-        state = set(_find_system_shuffled(n, rng, node_budget).cycles)
-        index = _ConfigIndex(state)
-        memo: dict = {}
+        index = _ConfigIndex(table, (rank[c] for c in _find_system_shuffled(n, rng, node_budget).cycles))
+        moves_of = functools.cache(lambda pair: _pair_moves(table, *pair))
         pairs = index.pairs()
         count = len(pairs)
         for _ in range(steps):
             if count == 0:
                 break
-            moves = [m for pair in pairs for m in _pair_moves(memo, pair)]
+            moves = [m for pair in pairs for m in moves_of(pair)]
             rng.shuffle(moves)
             for _, _, removal, addition in moves:
                 delta = index.move_delta(removal, addition)
                 if delta <= 0:
-                    for c in removal:
-                        index.discard(c)
-                        state.remove(c)
-                    for c in addition:
-                        index.add(c)
-                        state.add(c)
+                    for r in removal:
+                        index.discard(r)
+                    for r in addition:
+                        index.add(r)
                     pairs = index.pairs()
                     if len(pairs) != count + delta:
                         raise VerificationError(
@@ -929,7 +935,7 @@ def search_diamond_free(
         if best is None or count < best:
             best = count
         if count == 0:
-            out = CycleSystem(n, state)
+            out = CycleSystem(n, {cycs[r] for group in index.by_diag.values() for r in group})
             if count_double_diamond_configs(out) != 0:
                 raise VerificationError(f"hill-climb reported a diamond-free 4CS({n}) that has configurations")
             return out
@@ -966,10 +972,6 @@ class RationalCertificate:
     verified: bool
 
 
-def _improper_count(cnt: Counter) -> int:
-    return sum(1 for v in cnt.values() if v not in (0, 1))
-
-
 def _signed_moves_from(dec: DiamondDecomposition) -> list[tuple[int, DoubleDiamond]]:
     """Moves realizing -v for integral decomposition of v, in basis order."""
     basis = diamond_basis(dec.n)
@@ -980,21 +982,20 @@ def _signed_moves_from(dec: DiamondDecomposition) -> list[tuple[int, DoubleDiamo
     return moves
 
 
-def _counter_of(cs: CycleSystem) -> Counter:
-    return Counter({c: 1 for c in cs.cycles})
-
-
 def _replay_virtual(start: Counter, goal: Counter, moves) -> tuple[int, ...]:
-    state = Counter(start)
+    """Multiplicities outside {0,1} after each move, updated by its 4 cycles."""
+    state = dict(start)
+    improper = sum(m not in (0, 1) for m in state.values())
     audit = []
     for sign, d in moves:
         removal, addition = d.move_cycles(sign)
-        for c in removal:
-            state[c] -= 1
-        for c in addition:
-            state[c] += 1
-        state = Counter({c: m for c, m in state.items() if m})
-        audit.append(_improper_count(state))
+        for c, m in zip((*removal, *addition), (-1, -1, 1, 1)):
+            old = state.pop(c, 0)
+            m += old
+            improper += (m not in (0, 1)) - (old not in (0, 1))
+            if m:
+                state[c] = m
+        audit.append(improper)
     if state != goal:
         raise VerificationError("replaying the move plan does not reach the goal system")
     return tuple(audit)
@@ -1006,17 +1007,13 @@ def _schedule_strict(start: Counter, goal: Counter, pending: list) -> list:
     plan = []
     pending = list(pending)
     while pending:
-        chosen = None
         for idx, (sign, d) in enumerate(pending):
             removal, addition = d.move_cycles(sign)
             if all(state[c] == 1 for c in removal) and all(state[c] == 0 for c in addition):
-                chosen = idx
                 break
-        if chosen is None:
-            raise ScheduleFailureError(
-                f"strict scheduling stuck with {len(pending)} moves left", prefix=plan
-            )
-        sign, d = pending.pop(chosen)
+        else:
+            raise ScheduleFailureError(f"strict scheduling stuck with {len(pending)} moves left", prefix=plan)
+        del pending[idx]
         state = apply_diamond_move(state, d, sign)
         plan.append((sign, d))
     if state != goal:
@@ -1024,76 +1021,60 @@ def _schedule_strict(start: Counter, goal: Counter, pending: list) -> list:
     return plan
 
 
-def _multiset_distance(a: Mapping[FourCycle, int], b: Mapping[FourCycle, int]) -> int:
-    only_b = sum(abs(m) for k, m in b.items() if k not in a)
-    return sum(abs(m - b.get(k, 0)) for k, m in a.items()) + only_b
-
-
-def _child_state(
-    state: dict[FourCycle, int],
-    h: int,
-    want: Mapping[FourCycle, int],
-    removal: Sequence[FourCycle],
-    addition: Sequence[FourCycle],
-) -> tuple[dict[FourCycle, int], int]:
-    """The state after a move, and its distance to want given h, the state's own.
-
-    The removal cycles must be in state. Only the four moved cycles change
-    their terms of the distance, so h moves by the change in those terms.
-    """
+def _child_state(state: dict, h: int, want: Mapping, removal: Sequence, addition: Sequence) -> tuple:
+    """The state after a move, and its L1 distance to want: h updated by the four moved ranks."""
     child = dict(state)
-    for c in removal:
-        m, w = child[c], want.get(c, 0)
+    for r in removal:
+        m, w = child[r], want.get(r, 0)
         h += abs(m - 1 - w) - abs(m - w)
         if m == 1:
-            del child[c]
+            del child[r]
         else:
-            child[c] = m - 1
-    for c in addition:
-        m, w = child.get(c, 0), want.get(c, 0)
+            child[r] = m - 1
+    for r in addition:
+        m, w = child.get(r, 0), want.get(r, 0)
         h += abs(m + 1 - w) - abs(m - w)
-        child[c] = m + 1
+        child[r] = m + 1
     return child, h
 
 
 def _best_first_schedule(
-    start: Counter, goal: Counter, node_budget: int, seed: int
+    n: int, start: Counter, goal: Counter, node_budget: int, seed: int
 ) -> Optional[list]:
-    """Best-first search over all applicable diamond moves.
+    """Best-first search over all applicable diamond moves, on the ranks of _cycle_ranks(n).
 
     Priority 8*h + g with h the multiset L1 distance to the goal; a small
     seeded jitter breaks ties reproducibly. A state is keyed by the sorted
-    tuple of its (cycle, multiplicity) items. The moves of a state are
-    those of the configuration pairs in its support; each pair's moves,
-    with the cycles they remove and add, are worked out once per call. A
-    child differs from its parent in those four cycles only: it is a copy
-    of the parent's dict with four entries changed, and its h is the
-    parent's h plus the change in the same four terms of the distance.
-    Returns the move list or None on budget exhaustion.
+    tuple of its (rank, multiplicity) items; its heap entry carries its h.
+    A state's moves come from the configuration pairs of its support, each
+    pair's worked out once per call; only the returned path is built as
+    DoubleDiamonds. Returns it, or None on budget exhaustion.
     """
+    table = _cycle_ranks(n)
+    rank = table[1]
     rng = random.Random(seed)
-    want = dict(goal)
-    h0 = _multiset_distance(start, want)
+    want = {rank[c]: m for c, m in goal.items()}
+    state0 = {rank[c]: m for c, m in start.items()}
+    h0 = sum(abs(state0.get(r, 0) - want.get(r, 0)) for r in {*state0, *want})
     if h0 == 0:
         return []
-    key0 = tuple(sorted(start.items()))
-    heap = [(8 * h0, 0, 0, key0)]
+    key0 = tuple(sorted(state0.items()))
+    heap = [(8 * h0, 0, 0, key0, h0)]
     parents: dict[tuple, Optional[tuple]] = {key0: None}
     gscore = {key0: 0}
-    memo: dict = {}
+    moves_of = functools.cache(lambda pair: _pair_moves(table, *pair))
     counter = itertools.count(1)
     expanded = 0
     while heap:
-        _, _, _, key = heapq.heappop(heap)
-        state = dict(key)
+        _, _, _, key, h = heapq.heappop(heap)
         g = gscore[key]
         expanded += 1
         if expanded > node_budget:
             return None
-        h = _multiset_distance(state, want)
-        # every state holds positive multiplicities only, so its keys are its support
-        for pair in diamond_config_pairs(state):
-            for sign, d, removal, addition in _pair_moves(memo, pair):
+        state = dict(key)
+        # a state holds positive multiplicities only: its keys are its support
+        for pair in _ConfigIndex(table, state).pairs():
+            for sign, spec, removal, addition in moves_of(pair):
                 child, ch = _child_state(state, h, want, removal, addition)
                 ckey = tuple(sorted(child.items()))
                 ng = g + 1
@@ -1101,16 +1082,14 @@ def _best_first_schedule(
                 if seen is not None and seen <= ng:
                     continue
                 gscore[ckey] = ng
-                parents[ckey] = (key, (sign, d))
+                parents[ckey] = (key, (sign, spec))
                 if ch == 0:
-                    path = [(sign, d)]
-                    cur = key
-                    while parents[cur] is not None:
-                        cur, mv = parents[cur]
-                        path.append(mv)
-                    path.reverse()
-                    return path
-                heapq.heappush(heap, (8 * ch + ng, rng.randrange(16), next(counter), ckey))
+                    path = []
+                    while parents[ckey] is not None:
+                        ckey, (sign, spec) = parents[ckey]
+                        path.append((sign, DoubleDiamond(*spec)))
+                    return path[::-1]
+                heapq.heappush(heap, (8 * ch + ng, rng.randrange(16), next(counter), ckey, ch))
     return None
 
 
@@ -1138,8 +1117,8 @@ def transform(
     if mode not in ("virtual", "strict", "lifted"):
         raise ValueError(f"unknown mode {mode!r}")
     n = cs1.n
-    start = _counter_of(cs1)
-    goal = _counter_of(cs2)
+    start = Counter(cs1.cycles)
+    goal = Counter(cs2.cycles)
     if start == goal:
         return CycleMovePlan(n, mode, 1, (), ())
     dec = decompose_trade(cs1.vector() - cs2.vector())
@@ -1158,13 +1137,13 @@ def transform(
             raise VerificationError("a strict plan passed through a state that is not a system")
         return CycleMovePlan(n, mode, 1, tuple(plan), audit)
     # lifted
-    filler = _counter_of(find_cycle_system(n))
+    filler = find_cycle_system(n).cycles
     node_budget = search_budget(budget if budget is not None else 100_000)
     for lam in range(1, lam_max + 1):
-        aug = Counter({c: m * (lam - 1) for c, m in filler.items()})
+        aug = Counter({c: lam - 1 for c in filler})
         a = start + aug
         b = goal + aug
-        path = _best_first_schedule(a, b, node_budget, seed)
+        path = _best_first_schedule(n, a, b, node_budget, seed)
         if path is None:
             continue
         state = Counter(a)

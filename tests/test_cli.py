@@ -291,6 +291,17 @@ OVERSIZED = {
     "span-40": (lambda d: ["cycles", "span", "--n", "40"], 2, None),
     "diamonds-count": (lambda d: ["cycles", "diamonds", "--n", "40"], 0, {"n": 40, "count": 172727100}),
     "diamonds-list": (lambda d: ["cycles", "diamonds", "--n", "40", "--list"], 2, None),
+    "count-diamonds-far-vertices": (
+        # 20 cycles under the diagonal {0, 24000000} on vertices up to 984000000: every pair is a configuration
+        lambda d: [
+            "cycles", "count-diamonds",
+            "--system", _file(
+                d / "s", "n=1000000000\n" + "".join(f"0 {(2 * k + 2) * 24000000} 24000000 {(2 * k + 3) * 24000000}\n" for k in range(20))
+            ),
+        ],
+        0,
+        {"n": 1000000000, "cycle_count": 20, "count": 190},
+    ),
     "lattice-tall": (
         lambda d: [
             "linalg", "lattice-eq",
@@ -642,7 +653,9 @@ class TestRoundTrips:
     def test_cycle_transform_plan_file_parses(self, capsys, tmp_path):
         cs = cycles.find_cycle_system(9)
         pairs = cycles.diamond_config_pairs(cs)
-        sign, d = cycles._config_pair_moves(*pairs[0])[0]
+        table = cycles._cycle_ranks(9)
+        sign, spec, _, _ = cycles._pair_moves(table, *(table[1][c] for c in pairs[0]))[0]
+        d = cycles.DoubleDiamond(*spec)
         from collections import Counter
 
         cs2 = cycles.CycleSystem(9, list(cycles.apply_diamond_move(

@@ -55,6 +55,31 @@ from tradekernel.errors import (
 from tradekernel.primes import default_primes
 
 
+def pair_moves(c1, c2):
+    """(sign, DoubleDiamond) for each move cycles._pair_moves finds for the pair {c1, c2}."""
+    table = cycles._cycle_ranks(1 + max(*c1, *c2))
+    rank = table[1]
+    return [(sign, DoubleDiamond(*spec)) for sign, spec, _, _ in cycles._pair_moves(table, rank[c1], rank[c2])]
+
+
+def multiset_distance(a, b):
+    """L1 distance of two Counters."""
+    return sum(abs(a[c] - b[c]) for c in {*a, *b})
+
+
+def config_pairs_oracle(cyc_list):
+    """Every cycle pair whose edge union is a K_{2,4}, by an O(m^2) scan, sorted by (poles, c1, c2)."""
+    out = []
+    for a, b in itertools.combinations(sorted(set(cyc_list)), 2):
+        verts = set(a) | set(b)
+        edges = set(a.edge_pairs()) | set(b.edge_pairs())
+        poles = sorted(v for v in verts if sum(v in e for e in edges) == 4)
+        if len(verts) == 6 and len(poles) == 2:
+            if edges == {tuple(sorted((p, m))) for p in poles for m in verts - set(poles)}:
+                out.append((tuple(poles), a, b))
+    return [(a, b) for _, a, b in sorted(out)]
+
+
 def config_count_oracle(cyc_list):
     """Direct pairwise check: shared pair must be a diagonal of both."""
     count = 0
@@ -244,7 +269,7 @@ class TestDiamonds:
             for r in range(3):
                 pairing = cycles.PAIRINGS[r]
                 want = tuple(canonical_cycle((a, d.middles[i], b, d.middles[j])) for i, j in pairing)
-                assert d._cycles_of(r) == want
+                assert cycles._pairing_cycles(d.poles, d.middles, r) == want
             assert d.move_cycles(1) == (d.target_cycles(), d.source_cycles())
             assert d.move_cycles(-1) == (d.source_cycles(), d.target_cycles())
 
@@ -329,7 +354,10 @@ class TestBasisSelection:
 
     def test_unbalanced_diamond_rejected(self, monkeypatch):
         def lopsided(d):
-            return d._cycles_of(d.source)[0], d._cycles_of(d.target)[1]
+            return (
+                cycles._pairing_cycles(d.poles, d.middles, d.source)[0],
+                cycles._pairing_cycles(d.poles, d.middles, d.target)[1],
+            )
 
         monkeypatch.setattr(cycles.DoubleDiamond, "target_cycles", lopsided)
         with pytest.raises(VerificationError):
@@ -451,35 +479,75 @@ class TestConfigCounting:
         assert count_double_diamond_configs(relabeled) == count_double_diamond_configs(cs)
 
 
+    @settings(deadline=None, max_examples=20)
+    @given(st.sampled_from([9, 17]), st.randoms(use_true_random=False))
+    def test_pairs_match_brute_force_order(self, n, rng):
+        base = find_cycle_system(n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        other = [canonical_cycle([perm[v] for v in c]) for c in base.cycles]
+        # at n=9 a lifted search's support: the system and part of a relabelled one
+        cyc_list = [*base.cycles, *rng.sample(other, rng.randint(0, 9))] if n == 9 else other
+        want = config_pairs_oracle(cyc_list)
+        assert cycles.diamond_config_pairs(cyc_list) == want
+        # the searches' index over the ranks of all cycles of K_n gives the same pairs
+        table = cycles._cycle_ranks(n)
+        pairs = cycles._ConfigIndex(table, {table[1][c] for c in cyc_list}).pairs()
+        assert [(table[0][r1], table[0][r2]) for r1, r2 in pairs] == want
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.randoms(use_true_random=False))
+    def test_pairs_of_any_cycle_form_and_vertex_numbers(self, rng):
+        # each cycle written from any start in either direction, on vertices far apart
+        spread = [v * 10**8 + rng.randrange(10**8) for v in range(9)]
+        cyc_list = []
+        for c in find_cycle_system(9).cycles:
+            vs = [spread[v] for v in c]
+            k = rng.randrange(4)
+            vs = vs[k:] + vs[:k]
+            cyc_list.append(FourCycle(*(vs if rng.random() < 0.5 else vs[::-1])))
+        assert cycles.diamond_config_pairs(cyc_list) == config_pairs_oracle(cyc_list)
+
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    def test_rank_table(self, n):
+        cycs, rank, diags, masks = cycles._cycle_ranks(n)
+        assert list(cycs) == sorted(enumerate_cycles(n))  # rank order is FourCycle order
+        assert [rank[c] for c in cycs] == list(range(len(cycs)))
+        for c, (d1, d2), mask in zip(cycs, diags, masks):
+            assert (edge_endpoints(d1, n), edge_endpoints(d2, n)) == c.diagonals()
+            assert mask == sum(1 << v for v in c)
+
     @settings(deadline=None, max_examples=25)
     @given(st.sampled_from([9, 17]), st.randoms(use_true_random=False))
     def test_move_delta_matches_recount(self, n, rng):
         perm = list(range(n))
         rng.shuffle(perm)
-        state = {canonical_cycle([perm[v] for v in c]) for c in find_cycle_system(n).cycles}
-        index = cycles._ConfigIndex(state)
-        count = count_double_diamond_configs(state)
+        table = cycles._cycle_ranks(n)
+        cycs, rank = table[0], table[1]
+        state = {rank[canonical_cycle([perm[v] for v in c])] for c in find_cycle_system(n).cycles}
+        index = cycles._ConfigIndex(table, state)
+        count = count_double_diamond_configs(cycs[r] for r in state)
         for _ in range(12):
-            pairs = cycles.diamond_config_pairs(state)
-            assert index.pairs() == pairs
+            pairs = index.pairs()
+            assert [(cycs[r1], cycs[r2]) for r1, r2 in pairs] == cycles.diamond_config_pairs(cycs[r] for r in state)
             if not pairs:
                 break
-            sign, d = rng.choice(cycles._config_pair_moves(*rng.choice(pairs)))
-            removal, addition = d.move_cycles(sign)
+            _, _, removal, addition = rng.choice(cycles._pair_moves(table, *rng.choice(pairs)))
             count += index.move_delta(removal, addition)
-            for c in removal:
-                index.discard(c)
-                state.remove(c)
-            for c in addition:
-                index.add(c)
-                state.add(c)
-            assert count == count_double_diamond_configs(state) == config_count_oracle(state)
+            for r in removal:
+                index.discard(r)
+                state.remove(r)
+            for r in addition:
+                index.add(r)
+                state.add(r)
+            assert count == count_double_diamond_configs(cycs[r] for r in state)
+            assert count == config_count_oracle([cycs[r] for r in state])
 
     def test_pair_moves_reject_non_configurations(self):
         A = canonical_cycle((0, 2, 1, 3))  # diagonals {0,1}, {2,3}
         E = canonical_cycle((0, 1, 2, 3))  # diagonals {0,2}, {1,3}
         F = canonical_cycle((0, 1, 4, 5))  # diagonals {0,4}, {1,5}
-        assert len(cycles._config_pair_moves(A, canonical_cycle((0, 4, 1, 5)))) == 2
+        assert len(pair_moves(A, canonical_cycle((0, 4, 1, 5)))) == 2
         for c1, c2 in [
             (A, A),  # one cycle
             (E, F),  # {0,1} is an edge of both
@@ -488,7 +556,7 @@ class TestConfigCounting:
             (E, canonical_cycle((4, 5, 6, 7))),  # disjoint
         ]:
             with pytest.raises(ValueError, match="not a double-diamond configuration"):
-                cycles._config_pair_moves(c1, c2)
+                pair_moves(c1, c2)
 
 
 class TestMoves:
@@ -510,16 +578,20 @@ class TestMoves:
         other = [canonical_cycle([perm[v] for v in c]) for c in base.cycles]
         state = Counter(base.cycles) + Counter({c: rng.randint(0, 2) for c in other})
         want = +Counter({c: rng.randint(0, 2) for c in [*base.cycles, *other]})
-        h = cycles._multiset_distance(state, want)
+        table = cycles._cycle_ranks(9)
+        cycs, rank = table[0], table[1]
+        child = {rank[c]: m for c, m in state.items()}
+        h = multiset_distance(state, want)
         for _ in range(10):
             pairs = cycles.diamond_config_pairs(state)
             if not pairs:
                 break
-            sign, d = rng.choice(cycles._config_pair_moves(*rng.choice(pairs)))
-            child, h = cycles._child_state(dict(state), h, want, *d.move_cycles(sign))
-            state = apply_diamond_move(state, d, sign)
-            assert child == state
-            assert h == cycles._multiset_distance(state, want)
+            c1, c2 = rng.choice(pairs)
+            sign, spec, removal, addition = rng.choice(cycles._pair_moves(table, rank[c1], rank[c2]))
+            child, h = cycles._child_state(child, h, {rank[c]: m for c, m in want.items()}, removal, addition)
+            state = apply_diamond_move(state, DoubleDiamond(*spec), sign)
+            assert {cycs[r]: m for r, m in child.items()} == state
+            assert h == multiset_distance(state, want)
 
     def test_move_requires_cycles_present(self):
         d = enumerate_double_diamonds(6)[0]
@@ -534,7 +606,7 @@ class TestMoves:
     def test_replay_that_misses_the_goal_raises(self):
         cs = find_cycle_system(9)
         start = Counter({c: 1 for c in cs.cycles})
-        sign, d = cycles._config_pair_moves(*cycles.diamond_config_pairs(cs)[0])[0]
+        sign, d = pair_moves(*cycles.diamond_config_pairs(cs)[0])[0]
         goal = apply_diamond_move(start, d, sign)
         assert cycles._replay_virtual(start, goal, [(sign, d)]) == (0,)
         with pytest.raises(VerificationError):
@@ -547,7 +619,7 @@ class TestMoves:
         if not pairs:
             pytest.skip("seed system has no configuration pairs")
         c1, c2 = pairs[0]
-        moves = cycles._config_pair_moves(c1, c2)
+        moves = pair_moves(c1, c2)
         sign, d = moves[0]
         target = apply_diamond_move(Counter({c: 1 for c in cs.cycles}), d, sign)
         cs2 = CycleSystem(9, list(target))
@@ -624,12 +696,48 @@ SEARCH9_SHA256 = {
     4: "088d9cb274b662c8b52d00d60eab549c211e7009a9aa7a389a4fd086afc96061",
 }
 SEARCH17_BEST_COUNT = {1: 10, 2: 10, 3: 8, 4: 12, 5: 10}
+# Relabellings of find_cycle_system(9) whose difference is integral over
+# diamond_basis(9) and schedules in lifted mode at lambda 1.
+CATALOGUE_PERMS = (
+    (2, 1, 5, 7, 8, 6, 3, 0, 4),
+    (8, 7, 4, 3, 0, 5, 6, 1, 2),
+    (0, 4, 1, 8, 3, 5, 7, 2, 6),
+    (8, 1, 2, 4, 5, 7, 3, 0, 6),
+    (4, 8, 3, 1, 0, 5, 6, 7, 2),
+    (0, 8, 5, 3, 6, 2, 4, 1, 7),
+    (4, 7, 6, 8, 3, 1, 5, 0, 2),
+    (5, 1, 4, 6, 8, 2, 3, 0, 7),
+)
+
 # lifted plans: sha256 of format_cycle_move_plan, and the move count
 LIFTED_CRITERION7 = ("e113caf2620be495b44223452f6ec17c11952b0f0ca56a2e3cd8ad7ce40aca74", 37)
 LIFTED_RELABELLED = {
     (2, 1, 5, 7, 8, 6, 3, 0, 4): ("4615b07bc8f759b72aa6ce12f7d2beaab73bb7347faf2e9bb7562560a38fb4a1", 25),
     (8, 7, 4, 3, 0, 5, 6, 1, 2): ("7f9a1ace7c979eb6c887c47702c59e899606ea22390a69c7a49488af78350d2a", 19),
+    (0, 4, 1, 8, 3, 5, 7, 2, 6): ("1478104164c4ed8f4415aca6db2fe8585ba746076340a50f64b7ef4f993f7e68", 40),
+    (8, 1, 2, 4, 5, 7, 3, 0, 6): ("4acb377789b223d7628b7677b225fe9f27af5b2fa215c18864631d8730ab90e2", 45),
+    (4, 8, 3, 1, 0, 5, 6, 7, 2): ("9edda44f86a37182a1fcccece1142b29d3196d7f62bb056ed3d1f3aae2d5ebe5", 19),
+    (0, 8, 5, 3, 6, 2, 4, 1, 7): ("49bd25a5ccceb79f6fd3103788f2dbc36b5415a5c6d72b46090982347ff152a1", 34),
+    (4, 7, 6, 8, 3, 1, 5, 0, 2): ("cda79ac0918c91126b5f5a27fc2ac4a9605fa2475d4a05ce0ad3be7c50e8d822", 28),
+    (5, 1, 4, 6, 8, 2, 3, 0, 7): ("fd2db1b66970bf0b277bee28ea49059be867796858de56756133eb766d97e753", 29),
 }
+# Recorded before both searches ran on cycle ranks, like the last six
+# LIFTED_RELABELLED entries. _best_first_schedule on the second catalogue
+# pair, seed 1, both sides augmented by one copy of the filler system
+# (lambda=2): sha256 of the move lines, and the move count
+BEST_FIRST_LAMBDA2 = ("1ef59a0780f87db46f7a2ea84d8c4a3dea3cac239c8775c8bccf98e8a6ef702d", 19)
+# the same pair at lambda=1 needs exactly this many expansions
+BEST_FIRST_EXPANSIONS = 490
+# sha256 of the virtual plans' audit tuples of the catalogue pairs, one repr a line
+VIRTUAL_AUDITS_SHA256 = "ad4cce05f6510c54b4648fad0c3b58417f69b5aea3d4f817cd1b36a0c93c1621"
+
+
+def _relabelled(base, perm):
+    return CycleSystem(base.n, [canonical_cycle([perm[v] for v in c]) for c in base.cycles])
+
+
+def _move_lines(moves):
+    return "".join(cycles.format_move(sign, d) + "\n" for sign, d in moves)
 
 
 class TestSearchGolden:
@@ -654,24 +762,30 @@ class TestSearchGolden:
     @pytest.mark.parametrize("perm", sorted(LIFTED_RELABELLED))
     def test_lifted_relabelled(self, perm):
         base = find_cycle_system(9)
-        other = CycleSystem(9, [canonical_cycle([perm[v] for v in c]) for c in base.cycles])
-        plan = transform(base, other, mode="lifted")
+        plan = transform(base, _relabelled(base, perm), mode="lifted")
         assert plan.lam == 1
         assert (_sha256(cycles.format_cycle_move_plan(plan)), len(plan.moves)) == LIFTED_RELABELLED[perm]
 
+    def test_lifted_best_first_lambda2(self):
+        base = find_cycle_system(9)
+        filler = Counter(base.cycles)  # transform's filler is find_cycle_system(9) too
+        a, b = Counter(base.cycles), Counter(_relabelled(base, CATALOGUE_PERMS[1]).cycles)
+        path = cycles._best_first_schedule(9, a + filler, b + filler, 100_000, 1)
+        assert (_sha256(_move_lines(path)), len(path)) == BEST_FIRST_LAMBDA2
 
-# Relabellings of find_cycle_system(9) whose difference is integral over
-# diamond_basis(9) and schedules in lifted mode at lambda 1.
-CATALOGUE_PERMS = (
-    (2, 1, 5, 7, 8, 6, 3, 0, 4),
-    (8, 7, 4, 3, 0, 5, 6, 1, 2),
-    (0, 4, 1, 8, 3, 5, 7, 2, 6),
-    (8, 1, 2, 4, 5, 7, 3, 0, 6),
-    (4, 8, 3, 1, 0, 5, 6, 7, 2),
-    (0, 8, 5, 3, 6, 2, 4, 1, 7),
-    (4, 7, 6, 8, 3, 1, 5, 0, 2),
-    (5, 1, 4, 6, 8, 2, 3, 0, 7),
-)
+    def test_lifted_best_first_budget_edge(self):
+        base = find_cycle_system(9)
+        other = _relabelled(base, CATALOGUE_PERMS[1])
+        a, b = Counter(base.cycles), Counter(other.cycles)
+        assert cycles._best_first_schedule(9, a, b, BEST_FIRST_EXPANSIONS - 1, 1) is None
+        path = cycles._best_first_schedule(9, a, b, BEST_FIRST_EXPANSIONS, 1)
+        assert path == list(transform(base, other, mode="lifted").moves)
+
+    def test_virtual_audits_catalogue(self):
+        base = find_cycle_system(9)
+        audits = [transform(base, _relabelled(base, p), mode="virtual").audit for p in CATALOGUE_PERMS]
+        assert _sha256("\n".join(repr(a) for a in audits)) == VIRTUAL_AUDITS_SHA256
+
 
 # Recorded while decompositions were still solved modulo several primes and
 # combined by CRT and rational reconstruction: the exact solve must give the
@@ -705,10 +819,7 @@ def _pair_differences():
     base = find_cycle_system(9)
     rng = random.Random(5)
     perms = list(CATALOGUE_PERMS) + [rng.sample(range(9), 9) for _ in range(12)]
-    return [
-        base.vector() - CycleSystem(9, [canonical_cycle([p[v] for v in c]) for c in base.cycles]).vector()
-        for p in perms
-    ]
+    return [base.vector() - _relabelled(base, p).vector() for p in perms]
 
 
 def _decomposition_digest(vectors):
@@ -742,7 +853,7 @@ class TestFormats:
     def test_plan_round_trip(self):
         cs = find_cycle_system(9)
         pairs = cycles.diamond_config_pairs(cs)
-        sign, d = cycles._config_pair_moves(*pairs[0])[0]
+        sign, d = pair_moves(*pairs[0])[0]
         plan = cycles.CycleMovePlan(9, "strict", 1, ((sign, d),), (0,))
         moves, lam = cycles.parse_cycle_move_plan(cycles.format_cycle_move_plan(plan))
         assert moves == [(sign, d)]
