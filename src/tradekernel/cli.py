@@ -7,9 +7,10 @@ outside it). Integers above 2**53-1 and all rationals are serialized as
 strings so exactness survives JSON. Exit codes: 0 success, 1 for
 domain-negative outcomes (not admissible, not in span, search failure,
 invalid object under validate), 2 for usage or format errors (checked
-when the arguments are parsed where possible: --n, --mod, --jobs and
-TRADE_KERNEL_BUDGET) and for requests above a size limit, refused
-before any work (OUTPUT_CAP, exactla.LATTICE_DIM_CAP), 3 when an
+when the arguments are parsed where possible: --n, --mod, --jobs,
+--restarts, --lam-max, --budget and TRADE_KERNEL_BUDGET) and for
+requests above a size limit, refused before any work (OUTPUT_CAP,
+exactla.LATTICE_DIM_CAP), 3 when an
 internal exactness check fails (VerificationError). Exit codes 1 and 3
 print a report whose payload names the error.
 """
@@ -146,7 +147,7 @@ _BUILDS = {
 
 
 def _order(minimum: int):
-    """argparse type for --n (and --jobs): an integer of at least `minimum`, else a usage error (exit 2)."""
+    """argparse type for --n and the search counts: an integer of at least `minimum`, else a usage error (exit 2)."""
 
     def order(text: str) -> int:
         try:
@@ -170,7 +171,7 @@ def _prime(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=cycles.DEFAULT_SEED, help="seed for stochastic operations")
-    p.add_argument("--budget", type=int, default=None, help="node budget for searches")
+    p.add_argument("--budget", type=_order(1), default=None, help="node budget for searches")
     p.add_argument("--mode", choices=["strict", "lifted", "virtual"], default="virtual")
     p.add_argument("--jobs", type=_order(1), default=1, help="parallel restarts for stochastic searches")
     fmt = p.add_mutually_exclusive_group()
@@ -232,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the system file here")
     p = sub(cyc, "diamond-free")
     p.add_argument("--n", type=_order(0), required=True)
-    p.add_argument("--restarts", type=int, default=500)
+    p.add_argument("--restarts", type=_order(1), default=500)
     p.add_argument("--out")
     p = sub(cyc, "count-diamonds")
     p.add_argument("--system", required=True, help="cycle collection file")
     p = sub(cyc, "transform")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--lam-max", type=int, default=6)
+    p.add_argument("--lam-max", type=_order(1), default=6)
     p.add_argument("--plan-out")
     p = sub(cyc, "validate")
     tgt = p.add_mutually_exclusive_group(required=True)
@@ -315,6 +316,7 @@ def _run_latin(args, command, t0):
     if args.sub == "decompose":
         text = _read(args.trade)
         trade = latin.parse_trade(text)
+        _refuse_above_cap(trade.n**3, "triple vector entries")
         coeffs = latin.decompose(latin.trade_vector(trade))
         return (
             {
@@ -330,6 +332,7 @@ def _run_latin(args, command, t0):
         l1, l2 = latin.parse_square(ta), latin.parse_square(tb)
         if l1.n != l2.n:
             raise FormatError("squares have different orders")
+        _refuse_above_cap(l1.n**3, "triple vector entries")
         plan = latin.transform(l1, l2)
         payload = {
             "n": plan.n,
@@ -658,7 +661,10 @@ def main(argv=None) -> int:
     try:
         cycles.search_budget()
     except ValueError:
-        parser.error(f"TRADE_KERNEL_BUDGET must be an integer, got {os.environ['TRADE_KERNEL_BUDGET']!r}")
+        parser.error(f"TRADE_KERNEL_BUDGET must be a positive integer, got {os.environ['TRADE_KERNEL_BUDGET']!r}")
+    # each search chunk runs at least one restart, so more jobs than restarts would run extra ones
+    if getattr(args, "restarts", None) is not None and args.jobs > args.restarts:
+        parser.error(f"argument --jobs: must be at most --restarts ({args.restarts}), got {args.jobs}")
     command = f"{args.group} {args.sub}"
     t0 = time.perf_counter()
     try:

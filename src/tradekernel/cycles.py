@@ -13,14 +13,16 @@ trade whose edge union is the K_{2,4} on poles x middles. Identity is
 kept unordered (source index < target index in enumeration); direction
 is carried by the sign of a move.
 
-One exact elimination over Z of the 4-sparse diamond rows (SparseEchelon,
+The diamond rows come from one cached integer pairing table per n
+(_diamond_stack); DoubleDiamond objects are built only for payloads and
+plans. One exact elimination over Z of those 4-sparse rows (SparseEchelon,
 pivoting each row on its last column) gives the diamond span rank, the
 basis, and the coordinates of any kernel vector over that basis. The
 selection skips the rows with pairings (1,2), which are the difference
 of the two rows before them. The selected rows are cross-checked by a
 sparse mod-p rank on one prime, and every decomposition by exact
-recombination before it is returned. Every such check raises
-VerificationError, never asserts, so `python -O` keeps it.
+recombination of the table's rows before it is returned. Every such
+check raises VerificationError, never asserts, so `python -O` keeps it.
 
 Both searches run on cycle ranks: positions in sorted(enumerate_cycles(n)).
 """
@@ -64,13 +66,13 @@ DEFAULT_SEARCH_BUDGET = 1_000_000
 
 
 def search_budget(explicit: Optional[int] = None) -> int:
-    """Node budget for searches: explicit value, else TRADE_KERNEL_BUDGET, else default."""
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("TRADE_KERNEL_BUDGET", "").strip()
-    if env:
-        return int(env)
-    return DEFAULT_SEARCH_BUDGET
+    """Node budget for searches: explicit value, else TRADE_KERNEL_BUDGET, else default; at least 1."""
+    if explicit is None:
+        explicit = os.environ.get("TRADE_KERNEL_BUDGET", "").strip() or DEFAULT_SEARCH_BUDGET
+    budget = int(explicit)
+    if budget < 1:
+        raise ValueError(f"a search budget must be at least 1, got {budget}")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +217,15 @@ class CycleVector:
 
     @classmethod
     def from_multiset(cls, n: int, cycles: Mapping[FourCycle, int]) -> "CycleVector":
-        import numpy as np
-
         idx = cycle_index_map(n)
-        v = np.zeros(3 * math.comb(n, 4), dtype=np.int64)
+        v = cls(n)
         for c, mult in cycles.items():
-            v[idx[c]] += mult
-        return cls(n, v)
+            v.entries[idx[c]] += mult
+        return v
 
     def support(self) -> list[tuple[FourCycle, int]]:
-        import numpy as np
-
         cycles = enumerate_cycles(self.n)
-        return [(cycles[int(i)], int(self.entries[i])) for i in np.nonzero(self.entries)[0]]
+        return [(cycles[int(i)], int(self.entries[i])) for i in self.entries.nonzero()[0]]
 
     def to_ints(self) -> list[int]:
         return [int(x) for x in self.entries]
@@ -241,17 +239,10 @@ class CycleVector:
         return CycleVector(self.n, self.entries + c * other.entries)
 
     def __add__(self, other: "CycleVector") -> "CycleVector":
-        if other.n != self.n:
-            raise ValueError("orders differ")
-        return CycleVector(self.n, self.entries + other.entries)
+        return self.add_scaled(other, 1)
 
     def __sub__(self, other: "CycleVector") -> "CycleVector":
-        if other.n != self.n:
-            raise ValueError("orders differ")
-        return CycleVector(self.n, self.entries - other.entries)
-
-    def __neg__(self) -> "CycleVector":
-        return CycleVector(self.n, -self.entries)
+        return self.add_scaled(other, -1)
 
     def __eq__(self, other) -> bool:
         import numpy as np
@@ -362,20 +353,13 @@ class CycleTradePair:
 
 def trade_vector(tp: CycleTradePair) -> CycleVector:
     """+1 on T, -1 on T*. M X = 0 is checked via the edge multisets."""
-    import numpy as np
-
-    idx = cycle_index_map(tp.n)
-    v = np.zeros(3 * math.comb(tp.n, 4), dtype=np.int64)
-    for c in tp.t:
-        v[idx[c]] += 1
-    for c in tp.t_star:
-        v[idx[c]] -= 1
     # row e of M X is (cycles of T on e) - (cycles of T* on e)
     if Counter(e for c in tp.t for e in c.edge_pairs()) != Counter(
         e for c in tp.t_star for e in c.edge_pairs()
     ):
         raise VerificationError("T and T* cover different edge multisets, so X is not in ker M")
-    return CycleVector(tp.n, v)
+    # T and T* are disjoint
+    return CycleVector.from_multiset(tp.n, {**dict.fromkeys(tp.t, 1), **dict.fromkeys(tp.t_star, -1)})
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +427,7 @@ class DoubleDiamond:
 
 def diamond_vector(d: DoubleDiamond, n: int) -> CycleVector:
     """+1 on the source cycles, -1 on the target cycles."""
-    import numpy as np
-
-    idx = cycle_index_map(n)
-    v = np.zeros(3 * math.comb(n, 4), dtype=np.int64)
-    for c in d.source_cycles():
-        v[idx[c]] += 1
-    for c in d.target_cycles():
-        v[idx[c]] -= 1
-    return CycleVector(n, v)
+    return CycleVector.from_multiset(n, {**dict.fromkeys(d.source_cycles(), 1), **dict.fromkeys(d.target_cycles(), -1)})
 
 
 def diamond_count(n: int) -> int:
@@ -459,42 +435,65 @@ def diamond_count(n: int) -> int:
     return 3 * math.comb(n, 2) * math.comb(n - 2, 4) if n >= 6 else 0
 
 
-def enumerate_double_diamonds(n: int) -> list[DoubleDiamond]:
-    """All diamond_count(n) diamonds: poles lex, middles lex, pairing pair lex."""
-    if n < 6:
-        warnings.warn(f"no double-diamonds exist below order 6 (n={n})", stacklevel=2)
-        return []
-    out = []
+# the (source, target) pairings of a group's three diamonds, in enumeration order
+_GROUP_DIAMONDS = ((0, 1), (0, 2), (1, 2))
+
+
+def _diamond_groups(n: int) -> Iterable[tuple[tuple[int, int], tuple[int, ...]]]:
+    """(poles, middles) of every diamond group: poles lex, then middles lex."""
     for a, b in itertools.combinations(range(n), 2):
         rest = [v for v in range(n) if v != a and v != b]
         for mids in itertools.combinations(rest, 4):
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                out.append(DoubleDiamond((a, b), mids, i, j))
-    return out
+            yield (a, b), mids
+
+
+def enumerate_double_diamonds(n: int) -> list[DoubleDiamond]:
+    """All diamond_count(n) diamonds: diamond 3g + j is group g with pairings _GROUP_DIAMONDS[j]."""
+    if n < 6:
+        warnings.warn(f"no double-diamonds exist below order 6 (n={n})", stacklevel=2)
+        return []
+    return [DoubleDiamond(poles, mids, s, t) for poles, mids in _diamond_groups(n) for s, t in _GROUP_DIAMONDS]
+
+
+def _diagonal_table(n: int) -> list[list[int]]:
+    """table[a*n + b][x*n + y] is the index of the cycle a-x-b-y, whose diagonals are {a,b} and {x,y}."""
+    table = [[-1] * n * n for _ in range(n * n)]
+    for i, c in enumerate(enumerate_cycles(n)):
+        (a, b), (x, y) = c.diagonals()
+        table[a * n + b][x * n + y] = table[x * n + y][a * n + b] = i
+    return table
 
 
 @functools.lru_cache(maxsize=None)
-def _diamond_stack(n: int) -> tuple[tuple[DoubleDiamond, ...], tuple[dict[int, int], ...]]:
-    """(diamonds, rows): per enumerated diamond its vector as {cycle index: +-1}.
+def _diamond_stack(n: int) -> tuple[int, ...]:
+    """The pairing table: group g's pairing k has its two cycle indices at 6g + 2k and 6g + 2k + 1.
 
-    Every row is checked to lie in ker M: the source cycles and the target
-    cycles cover the same multiset of edges (the eight K_{2,4} edges), so
-    the rank of any set of rows is at most dim ker M.
+    Every group is checked to lie in ker M: its three pairings cover the
+    same eight edges, compared as sums of 4**edge (exact, as no edge occurs
+    more than twice). So no set of diamond rows has rank above dim ker M.
     """
-    diamonds = tuple(enumerate_double_diamonds(n))
-    if not diamonds:
-        return diamonds, ()
-    idx = cycle_index_map(n)
-    edges = cycle_edge_array(n)
-    rows = []
-    for d in diamonds:
-        s0, s1 = (idx[c] for c in d.source_cycles())
-        t0, t1 = (idx[c] for c in d.target_cycles())
-        if sorted(edges[s0] + edges[s1]) != sorted(edges[t0] + edges[t1]):
-            raise VerificationError(f"diamond {d} is not edge-balanced, so not in ker M")
-        # the two pairings are distinct, so the four cycles are too
-        rows.append({s0: 1, s1: 1, t0: -1, t1: -1})
-    return diamonds, tuple(rows)
+    if n < 6:
+        return ()
+    by_diagonals = _diagonal_table(n)
+    cover = [sum(1 << 2 * e for e in es) for es in cycle_edge_array(n)]
+    table: list[int] = []
+    for (a, b), (w, x, y, z) in _diamond_groups(n):
+        arm = by_diagonals[a * n + b]
+        group = (arm[w * n + x], arm[y * n + z], arm[w * n + y], arm[x * n + z], arm[w * n + z], arm[x * n + y])
+        c0, c1, c2, c3, c4, c5 = (cover[i] for i in group)
+        if not c0 + c1 == c2 + c3 == c4 + c5:
+            raise VerificationError(f"the diamonds on poles {(a, b)} and middles {(w, x, y, z)} are not in ker M")
+        table += group
+    return tuple(table)
+
+
+def _diamond_row(table: Sequence[int], i: int) -> dict[int, int]:
+    """Diamond i's vector as {cycle index: +-1}: +1 on its source pairing's cycles, -1 on its target's."""
+    g, j = divmod(i, 3)
+    s, t = _GROUP_DIAMONDS[j]
+    s, t = 6 * g + 2 * s, 6 * g + 2 * t
+    # two distinct pairings share no cycle
+    return {table[s]: 1, table[s + 1]: 1, table[t]: -1, table[t + 1]: -1}
 
 
 # the `cycles span` payload labels diamond families up to this size "exact"
@@ -510,28 +509,23 @@ def _diamond_selection(n: int) -> tuple[int, ...]:
     stopped once the rank reaches dim ker M, which no set of rows can
     exceed. Rows with pairings (1,2) are never inserted: with P_k the
     vector of pairing k's two cycles, D(1,2) = P_1 - P_2 = D(0,2) - D(0,1),
-    and both of those rows come just before it in the same (poles,
-    middles) group, so the scan could never keep it. The selection does
-    not depend on the echelon's pivot rule. The mod-p rank of the
-    selected rows on one prime must equal their count: a second proof
-    that they are independent. It is independent of the first in its
-    arithmetic (GF(p), not fraction-free Z) but shares the pivot rule.
+    and both of those rows come just before it in the same group, so the
+    scan could never keep it. The selection does not depend on the
+    echelon's pivot rule. The mod-p rank of the selected rows on one prime
+    must equal their count: a second proof of independence, in other
+    arithmetic (GF(p), not fraction-free Z) but with the same pivot rule.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        diamonds, rows = _diamond_stack(n)
-    if not diamonds:
-        return ()
-    need = kernel_dimension(n)
+    table = _diamond_stack(n)
+    need = kernel_dimension(n) if table else 0
     echelon = SparseEchelon()
     sel = []
-    for i, row in enumerate(rows):
+    for i in range(diamond_count(n)):
         if len(sel) == need:
             break
-        if diamonds[i].source != 1 and echelon.add(row):
+        if i % 3 != 2 and echelon.add(_diamond_row(table, i)):
             sel.append(i)
     selected = SparseIntMatrix(
-        len(sel), 3 * math.comb(n, 4), {(r, c): v for r, i in enumerate(sel) for c, v in rows[i].items()}
+        len(sel), 3 * math.comb(n, 4), {(r, c): v for r, i in enumerate(sel) for c, v in _diamond_row(table, i).items()}
     )
     p = default_primes(1)[0]
     rank_p = rank_mod_p(selected, p)
@@ -561,14 +555,24 @@ def _diamond_basis_indices(n: int) -> tuple[int, ...]:
     return sel
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_diamonds(n: int) -> tuple[DoubleDiamond, ...]:
+    """The DoubleDiamonds at _diamond_basis_indices(n), built from their groups alone."""
+    sel = _diamond_basis_indices(n)
+    wanted = {i // 3 for i in sel}
+    groups = {g: pm for g, pm in enumerate(_diamond_groups(n)) if g in wanted}
+    return tuple(DoubleDiamond(*groups[i // 3], *_GROUP_DIAMONDS[i % 3]) for i in sel)
+
+
 def diamond_basis(n: int) -> list[DoubleDiamond]:
     """Greedy basis of ker M drawn from the enumeration order.
 
     Size equals the kernel dimension or SpanDeficient is raised (n=5 has
     kernel dimension 5 and no diamonds at all).
     """
-    diamonds, _ = _diamond_stack(n)
-    return [diamonds[i] for i in _diamond_basis_indices(n)]
+    if n < 6:
+        warnings.warn(f"no double-diamonds exist below order 6 (n={n})", stacklevel=2)
+    return list(_basis_diamonds(n))
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +608,10 @@ def _solve_factor(n: int) -> SparseEchelon:
     Built once per n; its coordinates() are the exact coordinates of a
     kernel vector over the basis.
     """
-    _, rows = _diamond_stack(n)
+    table = _diamond_stack(n)
     echelon = SparseEchelon()
     for pos, i in enumerate(_diamond_basis_indices(n)):
-        if not echelon.add(rows[i], tag=pos):
+        if not echelon.add(_diamond_row(table, i), tag=pos):
             raise VerificationError(f"n={n}: basis diamond {pos} is dependent on the ones before it")
     return echelon
 
@@ -623,24 +627,20 @@ def _nonzero_entries(v: CycleVector) -> dict[int, int]:
 def _verify_recombination(
     n: int, sel: Sequence[int], coeffs: Sequence[Fraction], v: CycleVector
 ) -> bool:
-    """Exact check that sum c_i D_i = v, using the 4-sparse diamond rows.
+    """Exact check that sum c_i D_i = v, using the diamond rows of the pairing table.
 
     Scaled by the lcm L of the coefficient denominators, the check is
     sum (L c_i) D_i = L v, all in integers.
     """
-    diamonds, _ = _diamond_stack(n)
-    idx = cycle_index_map(n)
+    table = _diamond_stack(n)
     scale = math.lcm(*(c.denominator for c in coeffs))
     acc: dict[int, int] = {}
     for i, c in zip(sel, coeffs):
         if not c:
             continue
         c = c.numerator * (scale // c.denominator)
-        d = diamonds[i]
-        for cyc in d.source_cycles():
-            acc[idx[cyc]] = acc.get(idx[cyc], 0) + c
-        for cyc in d.target_cycles():
-            acc[idx[cyc]] = acc.get(idx[cyc], 0) - c
+        for col, sign in _diamond_row(table, i).items():
+            acc[col] = acc.get(col, 0) + sign * c
     return {j: val for j, val in acc.items() if val} == {
         j: scale * x for j, x in _nonzero_entries(v).items()
     }
@@ -651,7 +651,7 @@ def decompose_trade(v: CycleVector) -> DiamondDecomposition:
 
     A fraction-free integer reduction of v against the cached echelon of
     the basis rows (_solve_factor) gives the coordinates; the
-    recombination is verified exactly, from the diamonds themselves,
+    recombination is verified exactly, from the pairing table's rows,
     before returning.
     """
     _assert_kernel_member(v)

@@ -168,6 +168,15 @@ def run_process(argv):
         ["TRADE_KERNEL_BUDGET=abc", "cycles", "find", "--n", "9"],
         ["cycles", "diamond-free", "--n", "9", "--jobs", "-3"],
         ["cycles", "diamond-free", "--n", "9", "--jobs", "0"],
+        ["cycles", "diamond-free", "--n", "9", "--restarts", "0"],
+        ["cycles", "diamond-free", "--n", "9", "--restarts", "-1"],
+        # more chunks than restarts: refused before a chunk is built
+        ["cycles", "diamond-free", "--n", "9", "--restarts", "4", "--jobs", "5"],
+        ["cycles", "transform", "--a", "a.cyc", "--b", "b.cyc", "--mode", "lifted", "--lam-max", "0"],
+        ["cycles", "find", "--n", "9", "--budget", "0"],
+        ["cycles", "transform", "--a", "a.cyc", "--b", "b.cyc", "--budget", "-5"],
+        ["TRADE_KERNEL_BUDGET=0", "cycles", "find", "--n", "9"],
+        ["TRADE_KERNEL_BUDGET=-3", "cycles", "diamond-free", "--n", "9"],
     ],
 )
 def test_order_below_minimum_is_usage_error(argv):
@@ -385,6 +394,17 @@ def test_size_preflight_from_file_order(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "above the cap" in err
+
+
+def test_latin_size_preflight_from_file_order(capsys, tmp_path):
+    # latin decompose and transform build n^3 vectors at the order their files declare
+    square = _file(tmp_path / "s.sq", _square(101))
+    trade = _file(tmp_path / "t.trade", latin.format_trade(latin.intercalate(1, 1, 1, 101)))
+    for argv in (["latin", "decompose", "--trade", trade], ["latin", "transform", "--a", square, "--b", square]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "1030301 triple vector entries, above the cap" in err
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

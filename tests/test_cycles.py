@@ -1,5 +1,6 @@
 """4-cycle systems, trades, double-diamonds, moves, and searches."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -285,7 +286,7 @@ class TestDiamonds:
 
     def test_span_deficient_small(self):
         assert diamond_span_rank(5) == 0
-        with pytest.raises(SpanDeficientError):
+        with pytest.warns(UserWarning), pytest.raises(SpanDeficientError):
             diamond_basis(5)
 
     def test_basis_independent_and_sized(self):
@@ -305,12 +306,32 @@ BASIS_SHA256 = {
 }
 
 
+def _table_rows(n):
+    """Every diamond's row as the pairing table gives it, in enumeration order."""
+    table = cycles._diamond_stack(n)
+    return [cycles._diamond_row(table, i) for i in range(cycles.diamond_count(n))]
+
+
+def _nonzero(v):
+    return {int(i): int(v.entries[i]) for i in np.flatnonzero(v.entries)}
+
+
 class TestBasisSelection:
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_table_rows_are_diamond_vectors(self, n):
+        # the rows the selection, the solve factor and the recombination
+        # read are the vectors of the enumerated diamonds, index for index
+        rows = _table_rows(n)
+        diamonds = enumerate_double_diamonds(n)
+        assert len(rows) == len(diamonds)
+        for row, d in zip(rows, diamonds):
+            assert row == _nonzero(diamond_vector(d, n))
+
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_matches_greedy_mod_p_oracle(self, n):
         # the in-order mod-p rank filter is an independent oracle for the
         # exact selection: on a lucky prime both keep the same rows
-        _, rows = cycles._diamond_stack(n)
+        rows = _table_rows(n)
         stack = np.zeros((len(rows), 3 * math.comb(n, 4)), dtype=np.int64)
         for r, row in enumerate(rows):
             for c, v in row.items():
@@ -323,11 +344,8 @@ class TestBasisSelection:
     def test_third_pairing_is_difference_of_first_two(self, n):
         # D(1,2) = D(0,2) - D(0,1) within each (poles, middles) group, so the
         # selection may skip every (1,2) row without changing what it keeps
-        diamonds, rows = cycles._diamond_stack(n)
-        for i in range(0, len(diamonds), 3):
-            d01, d02, d12 = diamonds[i : i + 3]
-            assert (d01.source, d01.target, d02.source, d02.target, d12.source, d12.target) == (0, 1, 0, 2, 1, 2)
-            assert d01.poles == d02.poles == d12.poles and d01.middles == d02.middles == d12.middles
+        rows = _table_rows(n)
+        for i in range(0, len(rows), 3):
             diff = Counter(rows[i + 1])
             diff.subtract(rows[i])
             assert {c: v for c, v in diff.items() if v} == rows[i + 2]
@@ -337,7 +355,7 @@ class TestBasisSelection:
         # the rows the certificate sees (the selection), then the same rows
         # with every 7th stack row mixed in, against the numpy elimination,
         # which pivots in row order; p=2 and 3 make rank drops mod p likely
-        _, rows = cycles._diamond_stack(n)
+        rows = _table_rows(n)
         sel = cycles._diamond_basis_indices(n)
         for picked in (sel, sorted(set(sel) | set(range(0, len(rows), 7)))):
             m = exactla.SparseIntMatrix(
@@ -353,15 +371,38 @@ class TestBasisSelection:
         assert hashlib.sha256(repr(sel).encode()).hexdigest() == BASIS_SHA256[n]
 
     def test_unbalanced_diamond_rejected(self, monkeypatch):
-        def lopsided(d):
-            return (
-                cycles._pairing_cycles(d.poles, d.middles, d.source)[0],
-                cycles._pairing_cycles(d.poles, d.middles, d.target)[1],
-            )
-
-        monkeypatch.setattr(cycles.DoubleDiamond, "target_cycles", lopsided)
-        with pytest.raises(VerificationError):
+        # poles {0,1} with middles {2,3} now look up the cycle 0-2-1-4: the
+        # pairing {2,3},{4,5} covers edge 4-0 twice and misses 0-3
+        table = cycles._diagonal_table(6)
+        table[0 * 6 + 1][2 * 6 + 3] = table[0 * 6 + 1][2 * 6 + 4]
+        monkeypatch.setattr(cycles, "_diagonal_table", lambda n: table)
+        with pytest.raises(VerificationError, match="not in ker M"):
             cycles._diamond_stack.__wrapped__(6)  # bypass the cache
+
+    def test_diamonds_built_for_the_basis_only(self, monkeypatch):
+        # from cold caches the span rank, the solve factor and the
+        # recombination check read the pairing table and build no
+        # DoubleDiamond; the basis builds exactly one per selected row
+        v = diamond_vector(enumerate_double_diamonds(9)[2000], 9)
+        for cached in (
+            cycles._diamond_stack,
+            cycles._diamond_selection,
+            cycles._diamond_basis_indices,
+            cycles._basis_diamonds,
+            cycles._solve_factor,
+        ):
+            monkeypatch.setattr(cycles, cached.__name__, functools.lru_cache(maxsize=None)(cached.__wrapped__))
+        built = []
+        check = cycles.DoubleDiamond.__post_init__
+        monkeypatch.setattr(cycles.DoubleDiamond, "__post_init__", lambda d: built.append(check(d)))
+        assert diamond_span_rank(9) == 342
+        coords = cycles._solve_factor(9).coordinates(_nonzero(v))
+        sel = cycles._diamond_basis_indices(9)
+        coeffs = [coords.get(pos, Fraction(0)) for pos in range(len(sel))]
+        assert cycles._verify_recombination(9, sel, coeffs, v)
+        assert built == []
+        assert len(diamond_basis(9)) == 342
+        assert len(built) == 342
 
     def test_independence_certificate_survives_optimize(self):
         # under -O every assert is stripped; the certificate must still fire
@@ -430,7 +471,7 @@ class TestDecompose:
 
     def test_outside_span_is_verification_error(self, monkeypatch):
         # an echelon missing basis diamond 3 cannot express that diamond's vector
-        _, rows = cycles._diamond_stack(6)
+        rows = _table_rows(6)
         partial = exactla.SparseEchelon()
         for pos, i in enumerate(cycles._diamond_basis_indices(6)):
             if pos != 3:
