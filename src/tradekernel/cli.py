@@ -385,6 +385,12 @@ def _pool_size(jobs: int, cpus: Optional[int]) -> int:
     return max(1, min(jobs, cpus or 1))
 
 
+def _restart_shares(restarts: int, jobs: int) -> list[int]:
+    """Restarts per search chunk: exactly `restarts` in all, the first restarts % jobs chunks one more."""
+    base, extra = divmod(restarts, jobs)
+    return [base + (i < extra) for i in range(jobs)]
+
+
 def _diamond_free_chunk(params):
     n, seed, restarts, budget = params
     out = cycles.search_diamond_free(n, seed=seed, restarts=restarts, budget=budget)
@@ -501,11 +507,11 @@ def _run_cycles(args, command, t0):
         if args.n % 8 != 1 or args.n < 1:
             raise NotAdmissibleError(args.n)
         if args.jobs > 1:
-            # deterministic split: chunk i gets seed + i*1000003 and an
-            # equal share of restarts; smallest successful index wins
-            share = (args.restarts + args.jobs - 1) // args.jobs
+            # deterministic split: chunk i gets seed + i*1000003 and its
+            # share of the restarts; smallest successful index wins
             params = [
-                (args.n, args.seed + i * 1000003, share, args.budget) for i in range(args.jobs)
+                (args.n, args.seed + i * 1000003, share, args.budget)
+                for i, share in enumerate(_restart_shares(args.restarts, args.jobs))
             ]
             import concurrent.futures
 
@@ -662,7 +668,7 @@ def main(argv=None) -> int:
         cycles.search_budget()
     except ValueError:
         parser.error(f"TRADE_KERNEL_BUDGET must be a positive integer, got {os.environ['TRADE_KERNEL_BUDGET']!r}")
-    # each search chunk runs at least one restart, so more jobs than restarts would run extra ones
+    # each search chunk runs at least one restart, so more jobs than restarts would leave a chunk with none
     if getattr(args, "restarts", None) is not None and args.jobs > args.restarts:
         parser.error(f"argument --jobs: must be at most --restarts ({args.restarts}), got {args.jobs}")
     command = f"{args.group} {args.sub}"

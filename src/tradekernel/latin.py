@@ -220,10 +220,11 @@ class TripleVector:
     def from_square(cls, sq: LatinSquare) -> "TripleVector":
         import numpy as np
 
-        v = np.zeros(sq.n**3, dtype=np.int64)
-        for i, j, k in sq.triples():
-            v[triple_index(sq.n, i, j, k)] = 1
-        return cls(sq.n, v)
+        n = sq.n
+        v = np.zeros(n**3, dtype=np.int64)
+        # cell (i, j) is entry i*n + j of the raveled grid; its triple sits at (i*n + j)*n + k
+        v[np.arange(n * n) * n + np.array(sq.cells, dtype=np.int64).ravel()] = 1
+        return cls(n, v)
 
     def __getitem__(self, ijk: tuple[int, int, int]) -> int:
         return int(self.entries[triple_index(self.n, *ijk)])
@@ -340,12 +341,12 @@ def trade_vector(t: LatinTrade) -> TripleVector:
     """+1 on P, -1 on Q. Kernel membership (all line sums zero) is checked."""
     import numpy as np
 
-    v = np.zeros(t.n**3, dtype=np.int64)
-    for i, j, k in t.p.triples:
-        v[triple_index(t.n, i, j, k)] += 1
-    for i, j, k in t.q.triples:
-        v[triple_index(t.n, i, j, k)] -= 1
-    out = TripleVector(t.n, v)
+    n = t.n
+    triples = np.array([*t.p.triples, *t.q.triples], dtype=np.int64).reshape(-1, 3)
+    signs = np.repeat(np.array([1, -1], dtype=np.int64), [t.p.volume, t.q.volume])
+    v = np.zeros(n**3, dtype=np.int64)
+    np.add.at(v, triples @ np.array([n * n, n, 1], dtype=np.int64), signs)
+    out = TripleVector(n, v)
     bad = _first_violated_line(out)
     if bad is not None:
         raise VerificationError(f"trade vector is not in the kernel: line {bad[1]} sums to {bad[2]}")
@@ -368,6 +369,44 @@ def intercalate_cells(i: int, j: int, k: int, n: int) -> list[tuple[tuple[int, i
         for b, sb in ((0, 1), (j, -1))
         for c, sc in ((0, 1), (k, -1))
     ]
+
+
+# B_ijk's sign pattern as read off intercalate_cells: corner (a, b, c) of
+# {0,1}^3 stands for row a*i, column b*j and symbol c*k, with sign s
+_CORNER_SIGNS = tuple(intercalate_cells(1, 1, 1, 2))
+
+
+def _move_entries(moves: list[tuple[int, int, int, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and entry changes of the moves (sign, i, j, k), one row of eight per move.
+
+    Row t lists move t's cells of B_ijk in intercalate_cells order: corner
+    ((a, b, c), s) of _CORNER_SIGNS is index a*i*n^2 + b*j*n + c*k, that is
+    {0, i*n^2} + {0, j*n} + {0, k}, and changes by sign * s.
+    """
+    import numpy as np
+
+    bits = np.array([b for b, _ in _CORNER_SIGNS], dtype=np.int64)
+    signs = np.array([s for _, s in _CORNER_SIGNS], dtype=np.int64)
+    mv = np.array(moves, dtype=np.int64).reshape(-1, 4)
+    return (mv[:, 1:] * np.array([n * n, n, 1], dtype=np.int64)) @ bits.T, mv[:, :1] * signs
+
+
+def _intercalate_sum(coeffs: np.ndarray) -> np.ndarray:
+    """The sum of c_ijk * B_ijk for an (n-1)^3 cube of coefficients, as an n x n x n cube.
+
+    Corner ((a, b, c), s) of every B_ijk lands at index 0 on each axis whose
+    bit is 0 and at i, j or k on the others, so its share is s times the
+    coefficients summed over the axes whose bit is 0.
+    As B_ijk = (e0 - e_i) x (e0 - e_j) x (e0 - e_k) is separable, this is
+    the map x -> (sum x, -x_1, ..., -x_{n-1}) applied along each axis: O(n^3).
+    """
+    import numpy as np
+
+    out = np.zeros(tuple(d + 1 for d in coeffs.shape), dtype=np.int64)
+    for bits, s in _CORNER_SIGNS:
+        share = coeffs.sum(axis=tuple(ax for ax, b in enumerate(bits) if not b), keepdims=True)
+        out[tuple(slice(1, None) if b else slice(0, 1) for b in bits)] += s * share
+    return out
 
 
 def intercalate(i: int, j: int, k: int, n: int) -> LatinTrade:
@@ -405,28 +444,23 @@ def decompose(v: TripleVector) -> dict[tuple[int, int, int], int]:
 
     The basis is triangular on the block i,j,k >= 1: B_ijk is the only
     member supported on (i,j,k) there, with entry -1, so c_ijk = -v[i,j,k].
-    The reconstruction is checked before returning, which is what makes
-    the closed form trustworthy.
+    The reconstruction is checked exactly before returning, which is what
+    makes the closed form trustworthy. B_ijk = (e0 - e_i) x (e0 - e_j) x
+    (e0 - e_k) is separable, so sum c_ijk B_ijk is the coefficient cube with
+    x -> (sum x, -x_1, ..., -x_{n-1}) applied along each axis (O(n^3)).
     """
     import numpy as np
 
     bad = _first_violated_line(v)
     if bad is not None:
         raise KernelMembershipError(*bad)
-    n = v.n
-    cube = v.cube()
-    coeffs: dict[tuple[int, int, int], int] = {}
-    recon = np.zeros(n**3, dtype=np.int64)
-    # argwhere lists the nonzeros in C order, which is lexicographic (i,j,k)
-    for i, j, k in np.argwhere(cube[1:, 1:, 1:]).tolist():
-        i, j, k = i + 1, j + 1, k + 1
-        c = -int(cube[i, j, k])
-        coeffs[(i, j, k)] = c
-        for t, s in intercalate_cells(i, j, k, n):
-            recon[triple_index(n, *t)] += c * s
-    if not np.array_equal(recon, v.entries):
+    coeffs = -v.cube()[1:, 1:, 1:]
+    if not np.array_equal(_intercalate_sum(coeffs).ravel(), v.entries):
         raise VerificationError("intercalate coefficients do not reconstruct the vector")
-    return coeffs
+    # nonzero lists the entries in C order, which is lexicographic (i,j,k)
+    nz = np.nonzero(coeffs)
+    ijk = (np.stack(nz, axis=1) + 1).tolist()
+    return {(i, j, k): c for (i, j, k), c in zip(ijk, coeffs[nz].tolist())}
 
 
 def difference_trade(l1: LatinSquare, l2: LatinSquare) -> LatinTrade:
@@ -460,6 +494,36 @@ def apply_move(state: TripleVector, i: int, j: int, k: int, sign: int) -> Triple
     return out
 
 
+def _replay(
+    start: np.ndarray, offsets: np.ndarray, changes: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """The state after a run of moves and the improper count after each move.
+
+    offsets and changes are _move_entries' rows, one move each. The final
+    state adds every change at its entry. For the counts, each entry's
+    changes are taken in move order (a stable sort by entry), so a running
+    sum within each entry's run is the entry's value after that change;
+    a change that leaves {0, 1} adds one improper cell, one that returns
+    removes one. Every row touches eight distinct entries.
+    """
+    import numpy as np
+
+    x, d = offsets.ravel(), changes.ravel()
+    state = start.copy()
+    np.add.at(state, x, d)
+    order = np.argsort(x, kind="stable")
+    xs, ds = x[order], d[order]
+    run = np.cumsum(ds)
+    first = np.r_[True, xs[1:] != xs[:-1]]
+    # the running sum before each entry's first change, spread over its run
+    before = (run - ds)[first][np.cumsum(first) - 1]
+    new = start[xs] + run - before
+    old = new - ds
+    flips = np.empty_like(d)
+    flips[order] = ((new != 0) & (new != 1)).astype(np.int64) - ((old != 0) & (old != 1))
+    return state, np.cumsum(flips.reshape(offsets.shape).sum(axis=1)).tolist()
+
+
 @dataclass(frozen=True)
 class MovePlan:
     """A replayable sequence of signed intercalate moves.
@@ -484,6 +548,8 @@ def transform(l1: LatinSquare, l2: LatinSquare) -> MovePlan:
     on B_ijk turns into |c| moves of sign -sgn(c). Positive-sign moves
     run first, each group in lexicographic (i,j,k) order.
     """
+    import numpy as np
+
     if l1.n != l2.n:
         raise ValueError("orders differ")
     start = TripleVector.from_square(l1)
@@ -491,31 +557,21 @@ def transform(l1: LatinSquare, l2: LatinSquare) -> MovePlan:
     if start == goal:
         return MovePlan(l1.n, (), ())
     coeffs = decompose(start - goal)
-    moves: list[tuple[int, int, int, int]] = []
-    for want in (1, -1):
-        for (i, j, k), c in sorted(coeffs.items()):
-            sign = -1 if c > 0 else 1
-            if sign == want:
-                moves.extend((sign, i, j, k) for _ in range(abs(c)))
-    # Replay on plain ints. The start is a latin square (unit line sums)
-    # and every B_ijk has zero line sums, so no move can change a line
-    # sum: only the eight touched entries and the improper count move.
-    n = l1.n
-    state = start.entries.tolist()
-    improper = 0
-    counts = []
-    for sign, i, j, k in moves:
-        for t, s in intercalate_cells(i, j, k, n):
-            x = triple_index(n, *t)
-            old = state[x]
-            state[x] = new = old + sign * s
-            improper += (new not in (0, 1)) - (old not in (0, 1))
-        counts.append(improper)
-    if state != goal.entries.tolist():
+    # sign +1 (c < 0) first, then sign -1, each in lexicographic (i,j,k) order
+    moves = [
+        (-1 if c > 0 else 1, i, j, k)
+        for (i, j, k), c in sorted(coeffs.items(), key=lambda item: (item[1] > 0, item[0]))
+        for _ in range(abs(c))
+    ]
+    # The start is a latin square (unit line sums) and every B_ijk has zero
+    # line sums, so no move can change a line sum: only the eight touched
+    # entries and the improper count move.
+    state, counts = _replay(start.entries, *_move_entries(moves, l1.n))
+    if not np.array_equal(state, goal.entries):
         raise VerificationError("replaying the move plan does not reach the goal square")
-    if improper != 0:
-        raise VerificationError(f"the replay reaches the goal square with {improper} improper cells counted")
-    return MovePlan(n, tuple(moves), tuple(counts))
+    if counts[-1] != 0:
+        raise VerificationError(f"the replay reaches the goal square with {counts[-1]} improper cells counted")
+    return MovePlan(l1.n, tuple(moves), tuple(counts))
 
 
 # ---------------------------------------------------------------------------

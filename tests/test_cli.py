@@ -556,6 +556,65 @@ def test_search_payloads_pinned(capsys, argv):
     assert hashlib.sha256(blob).hexdigest() == SEARCH_PAYLOAD_SHA256[argv]
 
 
+def _isotope(n, rng):
+    """A seeded isotope of the cyclic square (rows, columns, symbols permuted)."""
+    rp, cp, sp = (rng.sample(range(n), n) for _ in range(3))
+    return latin.LatinSquare([[sp[(rp[i] + cp[j]) % n] for j in range(n)] for i in range(n)])
+
+
+def _seeded_squares(n):
+    rng = random.Random(2000 + n)
+    return _isotope(n, rng), _isotope(n, rng)
+
+
+# sha256 of json.dumps(payload, sort_keys=True) for `latin decompose` of the
+# difference trade of two seeded squares, recorded with the per-cell
+# intercalate reconstruction
+LATIN_DECOMPOSE_SHA256 = {
+    5: "17f4fbce28ac66ba0384e4cb3373ec34b5302e3ce9ff276f935bdf9f34831f10",
+    9: "ce25e5bd5a9b7a339b3564dba9931adfa4e19a2e7192ab19c27770037999b111",
+}
+
+# (payload without its plan_out path, plan file) sha256 of `latin transform
+# --plan-out` on two seeded squares, recorded with the per-cell replay
+LATIN_TRANSFORM_SHA256 = {
+    5: (
+        "4055183cae4b3b84329d761881b3791e17232fd241b82eb696ddc5d3eb756eeb",
+        "8d661b17a01478c9d5d2f173ef857f96adb3d29dcce1f1b78e4109bdafa49a02",
+    ),
+    9: (
+        "f6e344644084963b1521a69c246d447550af6eb5207869b70f46e8bcaa5af38a",
+        "e5006e0e2179f0e0ec8232c44ac6d408677497a1dfc9783ef0248cce2996da7a",
+    ),
+    20: (
+        "768a3c416ed87198781e5be181fcac5008b38e0c393613f35c4548e9adf9e98a",
+        "2f73127a6a753bb0f4536ae76f4995e44948811ae6c7624f883a4361ae4bfd56",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LATIN_DECOMPOSE_SHA256))
+def test_latin_decompose_payload_pinned(capsys, tmp_path, n):
+    a, b = _seeded_squares(n)
+    trade = _file(tmp_path / "t.trade", latin.format_trade(latin.difference_trade(a, b)))
+    code, rep = run_json(capsys, "latin", "decompose", "--trade", trade)
+    assert code == 0 and rep["payload"]["coefficients"]
+    blob = json.dumps(rep["payload"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == LATIN_DECOMPOSE_SHA256[n]
+
+
+@pytest.mark.parametrize("n", sorted(LATIN_TRANSFORM_SHA256))
+def test_latin_transform_payload_and_plan_pinned(capsys, tmp_path, n):
+    a, b = (_file(tmp_path / f"{name}.sq", latin.format_square(sq)) for name, sq in zip("ab", _seeded_squares(n)))
+    plan = tmp_path / "plan.txt"
+    code, rep = run_json(capsys, "latin", "transform", "--a", a, "--b", b, "--plan-out", str(plan))
+    assert code == 0 and rep["payload"].pop("plan_out") == str(plan)
+    assert rep["payload"]["moves"]
+    blob = json.dumps(rep["payload"], sort_keys=True).encode()
+    got = (hashlib.sha256(blob).hexdigest(), hashlib.sha256(plan.read_bytes()).hexdigest())
+    assert got == LATIN_TRANSFORM_SHA256[n]
+
+
 # Run in a fresh interpreter: the modules a command leaves loaded. An empty
 # argv only imports the CLI.
 _LOADED_PROBE = """
@@ -706,6 +765,22 @@ class TestStochastic:
             rep.pop("timing_s")
             outs.append(json.dumps(rep, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_restart_shares_split_exactly(self):
+        for restarts in range(1, 61):
+            for jobs in range(1, restarts + 1):
+                shares = cli._restart_shares(restarts, jobs)
+                assert len(shares) == jobs and sum(shares) == restarts
+                assert min(shares) >= 1 and max(shares) - min(shares) <= 1
+
+    def test_jobs_run_only_the_requested_restarts(self, capsys):
+        # chunk 1 (seed 16 + 1000003) finds a system on its second restart, which
+        # it runs only when each of the two chunks is given ceil(3 / 2) = 2
+        code, rep = run_json(
+            capsys, "cycles", "diamond-free", "--n", "9", "--restarts", "3", "--jobs", "2", "--seed", "16"
+        )
+        assert code == 1 and rep["payload"]["found"] is False
+        assert isinstance(cycles.search_diamond_free(9, seed=16 + 1000003, restarts=2), cycles.CycleSystem)
 
     def test_jobs_split_is_deterministic(self, capsys):
         outs = []

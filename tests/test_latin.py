@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tradekernel import exactla, latin
-from tradekernel.errors import FormatError, IdenticalSquaresError, KernelMembershipError
+from tradekernel.errors import FormatError, IdenticalSquaresError, KernelMembershipError, VerificationError
 from tradekernel.latin import (
     LatinSquare,
     PartialLatinSquare,
@@ -230,6 +230,84 @@ class TestIntercalateCells:
     def test_range_checked(self, ijk):
         with pytest.raises(ValueError):
             intercalate_cells(*ijk, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_move_entries_are_the_cells(self, n):
+        # the replay's flat offsets and signs, against intercalate_cells
+        moves = [(sign, i, j, k) for sign in (1, -1) for i in range(1, n) for j in range(1, n) for k in range(1, n)]
+        offsets, changes = latin._move_entries(moves, n)
+        assert offsets.shape == changes.shape == (len(moves), 8)
+        for (sign, i, j, k), xs, ds in zip(moves, offsets.tolist(), changes.tolist()):
+            assert list(zip(xs, ds)) == [(triple_index(n, *t), sign * s) for t, s in intercalate_cells(i, j, k, n)]
+
+
+def _cell_by_cell_sum(coeffs, n):
+    """sum of c_ijk B_ijk, scattered cell by cell from intercalate_cells."""
+    out = [0] * n**3
+    for i in range(1, n):
+        for j in range(1, n):
+            for k in range(1, n):
+                for t, s in intercalate_cells(i, j, k, n):
+                    out[triple_index(n, *t)] += int(coeffs[i - 1, j - 1, k - 1]) * s
+    return out
+
+
+class TestClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), st.data())
+    def test_intercalate_sum_matches_cell_by_cell(self, n, data):
+        values = data.draw(st.lists(st.integers(-5, 5), min_size=(n - 1) ** 3, max_size=(n - 1) ** 3))
+        coeffs = np.array(values, dtype=np.int64).reshape((n - 1,) * 3)
+        got = latin._intercalate_sum(coeffs)
+        assert got.shape == (n, n, n)
+        assert got.ravel().tolist() == _cell_by_cell_sum(coeffs, n)
+
+    def test_decompose_refuses_a_wrong_reconstruction(self, monkeypatch):
+        rng = random.Random(11)
+        v = TripleVector.from_square(random_square(5, rng)) - TripleVector.from_square(random_square(5, rng))
+        assert decompose(v)
+        good = latin._intercalate_sum
+
+        def off_by_one(coeffs):
+            out = good(coeffs)
+            out[0, 0, 0] += 1
+            return out
+
+        monkeypatch.setattr(latin, "_intercalate_sum", off_by_one)
+        with pytest.raises(VerificationError):
+            decompose(v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=6), st.data())
+    def test_replay_matches_move_by_move(self, n, data):
+        # any run of moves from a square, against apply_move and improper_count after each move
+        square = random_square(n, random.Random(data.draw(st.integers(0, 10**6))))
+        move = st.tuples(st.sampled_from((1, -1)), *[st.integers(1, n - 1)] * 3)
+        moves = data.draw(st.lists(move, min_size=1, max_size=30))
+        state = TripleVector.from_square(square)
+        want = []
+        for sign, i, j, k in moves:
+            state = apply_move(state, i, j, k, sign)
+            want.append(state.improper_count())
+        final, counts = latin._replay(TripleVector.from_square(square).entries, *latin._move_entries(moves, n))
+        assert counts == want
+        assert final.tolist() == state.to_ints()
+
+    def test_square_and_trade_vectors_match_cell_by_cell(self):
+        rng = random.Random(12)
+        for n in (1, 2, 5, 9):
+            a, b = random_square(n, rng), random_square(n, rng)
+            want = [0] * n**3
+            for i, j, k in a.triples():
+                want[triple_index(n, i, j, k)] = 1
+            assert TripleVector.from_square(a).to_ints() == want
+            if a != b:
+                t = difference_trade(a, b)
+                want = [0] * n**3
+                for triples, s in ((t.p.triples, 1), (t.q.triples, -1)):
+                    for i, j, k in triples:
+                        want[triple_index(n, i, j, k)] += s
+                assert trade_vector(t).to_ints() == want
 
 
 # pairs drawn per order, and the sha256 of their transform plans (moves,
