@@ -108,12 +108,7 @@ class FourCycle(NamedTuple):
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         a, b, c, d = self
-        return (
-            (min(a, b), max(a, b)),
-            (min(b, c), max(b, c)),
-            (min(c, d), max(c, d)),
-            (min(d, a), max(d, a)),
-        )
+        return (min(a, b), max(a, b)), (min(b, c), max(b, c)), (min(c, d), max(c, d)), (min(d, a), max(d, a))
 
     def diagonals(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """The two non-adjacent vertex pairs, each sorted."""
@@ -165,9 +160,7 @@ def cycle_edge_array(n: int) -> tuple[tuple[int, int, int, int], ...]:
     eidx = [[0] * n for _ in range(n)]
     for u, v in itertools.combinations(range(n), 2):
         eidx[u][v] = eidx[v][u] = edge_index(u, v, n)
-    return tuple(
-        (eidx[a][b], eidx[b][c], eidx[c][d], eidx[d][a]) for a, b, c, d in enumerate_cycles(n)
-    )
+    return tuple((eidx[a][b], eidx[b][c], eidx[c][d], eidx[d][a]) for a, b, c, d in enumerate_cycles(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,18 +238,11 @@ class CycleVector:
         return self.add_scaled(other, -1)
 
     def __eq__(self, other) -> bool:
-        import numpy as np
-
-        return (
-            isinstance(other, CycleVector)
-            and self.n == other.n
-            and np.array_equal(self.entries, other.entries)
-        )
+        # one n, one length
+        return isinstance(other, CycleVector) and self.n == other.n and bool((self.entries == other.entries).all())
 
     def __repr__(self) -> str:
-        import numpy as np
-
-        return f"CycleVector(n={self.n}, nnz={int(np.count_nonzero(self.entries))})"
+        return f"CycleVector(n={self.n}, nnz={int((self.entries != 0).sum())})"
 
 
 def _check_canonical_in_range(cycles: Iterable[FourCycle], n: int) -> None:
@@ -306,8 +292,7 @@ class CycleSystem:
 
 def validate_trade_pair(t: Iterable[FourCycle], t_star: Iterable[FourCycle]) -> Optional[str]:
     """None if (T, T*) is a 4-cycle trade, else the first failing condition."""
-    t = list(t)
-    t_star = list(t_star)
+    t, t_star = list(t), list(t_star)
     for name, side in (("T", t), ("T*", t_star)):
         seen: set[tuple[int, int]] = set()
         for c in sorted(side):
@@ -329,8 +314,7 @@ class CycleTradePair:
     """An edge-balanced pair of disjoint cycle sets (a 4-cycle trade)."""
 
     def __init__(self, n: int, t: Iterable[FourCycle], t_star: Iterable[FourCycle]):
-        t = frozenset(t)
-        t_star = frozenset(t_star)
+        t, t_star = frozenset(t), frozenset(t_star)
         _check_canonical_in_range(t | t_star, n)
         bad = validate_trade_pair(t, t_star)
         if bad is not None:
@@ -354,9 +338,8 @@ class CycleTradePair:
 def trade_vector(tp: CycleTradePair) -> CycleVector:
     """+1 on T, -1 on T*. M X = 0 is checked via the edge multisets."""
     # row e of M X is (cycles of T on e) - (cycles of T* on e)
-    if Counter(e for c in tp.t for e in c.edge_pairs()) != Counter(
-        e for c in tp.t_star for e in c.edge_pairs()
-    ):
+    edges = lambda side: Counter(e for c in side for e in c.edge_pairs())
+    if edges(tp.t) != edges(tp.t_star):
         raise VerificationError("T and T* cover different edge multisets, so X is not in ker M")
     # T and T* are disjoint
     return CycleVector.from_multiset(tp.n, {**dict.fromkeys(tp.t, 1), **dict.fromkeys(tp.t_star, -1)})
@@ -738,6 +721,19 @@ def _cycle_ranks(n: int) -> tuple:
     return _ranks_of(sorted(enumerate_cycles(n)))
 
 
+def _config_pairs(by_diag: Mapping[int, list[int]], masks: Sequence[int]) -> list[tuple[int, int]]:
+    """All configuration pairs of a diagonal -> ranks index, by diagonal, then r1 < r2."""
+    out = []
+    for diag in sorted(by_diag):
+        group = by_diag[diag]
+        if len(group) > 1:
+            group.sort()
+            for r1, r2 in itertools.combinations(group, 2):
+                if (masks[r1] & masks[r2]).bit_count() == 2:
+                    out.append((r1, r2))
+    return out
+
+
 class _ConfigIndex:
     """Diagonal -> ranks index of one cycle set, for its configuration pairs.
 
@@ -763,17 +759,7 @@ class _ConfigIndex:
             self.by_diag[diag].remove(r)
 
     def pairs(self) -> list[tuple[int, int]]:
-        """All configuration pairs, by diagonal, then r1 < r2."""
-        masks = self.masks
-        out = []
-        for diag in sorted(self.by_diag):
-            group = self.by_diag[diag]
-            if len(group) > 1:
-                group.sort()
-                for r1, r2 in itertools.combinations(group, 2):
-                    if (masks[r1] & masks[r2]).bit_count() == 2:
-                        out.append((r1, r2))
-        return out
+        return _config_pairs(self.by_diag, self.masks)
 
     def partners(self, r: int, skip: Sequence[int] = ()) -> int:
         """Pairs r forms with indexed ranks other than r and those in skip."""
@@ -846,6 +832,21 @@ def _pair_moves(table: tuple, r1: int, r2: int) -> list[tuple]:
     return out
 
 
+class _MoveTable(dict):
+    """Configuration pair -> _pair_moves on the ranks of order n, filled on first lookup."""
+
+    def __init__(self, n: int):
+        self.table = _cycle_ranks(n)
+
+    def __missing__(self, pair: tuple[int, int]) -> list[tuple]:
+        moves = self[pair] = _pair_moves(self.table, *pair)
+        return moves
+
+
+# one move table per order, shared by both searches and kept across calls
+_move_table = functools.lru_cache(maxsize=None)(_MoveTable)
+
+
 def apply_diamond_move(
     state: Union[Mapping[FourCycle, int], Iterable[FourCycle]],
     d: DoubleDiamond,
@@ -903,18 +904,17 @@ def search_diamond_free(
         return CycleSystem(1, [])
     rng = random.Random(seed)
     node_budget = search_budget(budget)
-    table = _cycle_ranks(n)
-    cycs, rank, _, _ = table
+    moves_of = _move_table(n)
+    cycs, rank, _, _ = table = moves_of.table
     best = None
     for _ in range(restarts):
         index = _ConfigIndex(table, (rank[c] for c in _find_system_shuffled(n, rng, node_budget).cycles))
-        moves_of = functools.cache(lambda pair: _pair_moves(table, *pair))
         pairs = index.pairs()
         count = len(pairs)
         for _ in range(steps):
             if count == 0:
                 break
-            moves = [m for pair in pairs for m in moves_of(pair)]
+            moves = [m for pair in pairs for m in moves_of[pair]]
             rng.shuffle(moves)
             for _, _, removal, addition in moves:
                 delta = index.move_delta(removal, addition)
@@ -932,8 +932,7 @@ def search_diamond_free(
                     break
             else:
                 break
-        if best is None or count < best:
-            best = count
+        best = count if best is None else min(best, count)
         if count == 0:
             out = CycleSystem(n, {cycs[r] for group in index.by_diag.values() for r in group})
             if count_double_diamond_configs(out) != 0:
@@ -964,8 +963,8 @@ class CycleMovePlan:
 
 @dataclass(frozen=True)
 class RationalCertificate:
-    """Non-integral decomposition of vec(cs1) - vec(cs2); no integer move
-    sequence exists over the basis, so the transform stops here."""
+    """Non-integral coordinates of vec(cs1) - vec(cs2) over diamond_basis(n). From n=7 on that
+    basis spans an index-16 sublattice of the diamond lattice, so a lifted path may still exist."""
 
     n: int
     support: tuple[tuple[DoubleDiamond, Fraction], ...]
@@ -1021,21 +1020,36 @@ def _schedule_strict(start: Counter, goal: Counter, pending: list) -> list:
     return plan
 
 
-def _child_state(state: dict, h: int, want: Mapping, removal: Sequence, addition: Sequence) -> tuple:
-    """The state after a move, and its L1 distance to want: h updated by the four moved ranks."""
-    child = dict(state)
-    for r in removal:
-        m, w = child[r], want.get(r, 0)
-        h += abs(m - 1 - w) - abs(m - w)
-        if m == 1:
-            del child[r]
-        else:
-            child[r] = m - 1
-    for r in addition:
-        m, w = child.get(r, 0), want.get(r, 0)
-        h += abs(m + 1 - w) - abs(m - w)
-        child[r] = m + 1
-    return child, h
+def _children(moves_of: _MoveTable, want: Sequence[int], key: tuple, h: int) -> list[tuple]:
+    """(key, h, sign, spec) of each child of the state keyed by key, by configuration pair, then move.
+
+    A key is a multiset's sorted ranks with repeats, h its L1 distance to
+    want; each of a move's four distinct ranks moves h by one."""
+    _, _, diags, masks = moves_of.table
+    mult, by_diag = {}, {}
+    for r in key:
+        if r in mult:
+            mult[r] += 1
+            continue
+        mult[r] = 1
+        for diag in diags[r]:
+            group = by_diag.get(diag)
+            if group is None:
+                by_diag[diag] = [r]
+            else:
+                group.append(r)
+    out = []
+    for r1, r2 in _config_pairs(by_diag, masks):
+        rest = list(key)
+        rest.remove(r1)
+        rest.remove(r2)
+        hr = h + (1 if mult[r1] <= want[r1] else -1) + (1 if mult[r2] <= want[r2] else -1)
+        for sign, spec, _, (a1, a2) in moves_of[r1, r2]:
+            child = [*rest, a1, a2]
+            child.sort()
+            ch = hr + (1 if mult.get(a1, 0) >= want[a1] else -1) + (1 if mult.get(a2, 0) >= want[a2] else -1)
+            out.append((tuple(child), ch, sign, spec))
+    return out
 
 
 def _best_first_schedule(
@@ -1044,52 +1058,41 @@ def _best_first_schedule(
     """Best-first search over all applicable diamond moves, on the ranks of _cycle_ranks(n).
 
     Priority 8*h + g with h the multiset L1 distance to the goal; a small
-    seeded jitter breaks ties reproducibly. A state is keyed by the sorted
-    tuple of its (rank, multiplicity) items; its heap entry carries its h.
-    A state's moves come from the configuration pairs of its support, each
-    pair's worked out once per call; only the returned path is built as
+    seeded jitter breaks ties reproducibly. A state is keyed by its sorted
+    ranks with repeats and its heap entry carries its h; _children derives
+    each child's key and h from them. Only the returned path is built as
     DoubleDiamonds. Returns it, or None on budget exhaustion.
     """
-    table = _cycle_ranks(n)
-    rank = table[1]
+    moves_of = _move_table(n)
+    cycs, rank, _, _ = moves_of.table
     rng = random.Random(seed)
-    want = {rank[c]: m for c, m in goal.items()}
-    state0 = {rank[c]: m for c, m in start.items()}
-    h0 = sum(abs(state0.get(r, 0) - want.get(r, 0)) for r in {*state0, *want})
+    want = [goal[c] for c in cycs]
+    h0 = sum(abs(start[c] - goal[c]) for c in {*start, *goal})
     if h0 == 0:
         return []
-    key0 = tuple(sorted(state0.items()))
+    key0 = tuple(sorted(rank[c] for c in start.elements()))
     heap = [(8 * h0, 0, 0, key0, h0)]
-    parents: dict[tuple, Optional[tuple]] = {key0: None}
-    gscore = {key0: 0}
-    moves_of = functools.cache(lambda pair: _pair_moves(table, *pair))
+    best: dict[tuple, tuple] = {key0: (0, None, None, None)}  # key -> (g, parent key, sign, spec)
     counter = itertools.count(1)
     expanded = 0
     while heap:
         _, _, _, key, h = heapq.heappop(heap)
-        g = gscore[key]
+        ng = best[key][0] + 1
         expanded += 1
         if expanded > node_budget:
             return None
-        state = dict(key)
-        # a state holds positive multiplicities only: its keys are its support
-        for pair in _ConfigIndex(table, state).pairs():
-            for sign, spec, removal, addition in moves_of(pair):
-                child, ch = _child_state(state, h, want, removal, addition)
-                ckey = tuple(sorted(child.items()))
-                ng = g + 1
-                seen = gscore.get(ckey)
-                if seen is not None and seen <= ng:
-                    continue
-                gscore[ckey] = ng
-                parents[ckey] = (key, (sign, spec))
-                if ch == 0:
-                    path = []
-                    while parents[ckey] is not None:
-                        ckey, (sign, spec) = parents[ckey]
-                        path.append((sign, DoubleDiamond(*spec)))
-                    return path[::-1]
-                heapq.heappush(heap, (8 * ch + ng, rng.randrange(16), next(counter), ckey, ch))
+        for ckey, ch, sign, spec in _children(moves_of, want, key, h):
+            seen = best.get(ckey)
+            if seen is not None and seen[0] <= ng:
+                continue
+            best[ckey] = (ng, key, sign, spec)
+            if ch == 0:
+                path = []
+                while ckey != key0:
+                    _, ckey, sign, spec = best[ckey]
+                    path.append((sign, DoubleDiamond(*spec)))
+                return path[::-1]
+            heapq.heappush(heap, (8 * ch + ng, rng.randrange(16), next(counter), ckey, ch))
     return None
 
 
@@ -1117,8 +1120,7 @@ def transform(
     if mode not in ("virtual", "strict", "lifted"):
         raise ValueError(f"unknown mode {mode!r}")
     n = cs1.n
-    start = Counter(cs1.cycles)
-    goal = Counter(cs2.cycles)
+    start, goal = Counter(cs1.cycles), Counter(cs2.cycles)
     if start == goal:
         return CycleMovePlan(n, mode, 1, (), ())
     dec = decompose_trade(cs1.vector() - cs2.vector())
@@ -1141,8 +1143,7 @@ def transform(
     node_budget = search_budget(budget if budget is not None else 100_000)
     for lam in range(1, lam_max + 1):
         aug = Counter({c: lam - 1 for c in filler})
-        a = start + aug
-        b = goal + aug
+        a, b = start + aug, goal + aug
         path = _best_first_schedule(n, a, b, node_budget, seed)
         if path is None:
             continue
@@ -1258,8 +1259,7 @@ def format_cycle_move_plan(plan: CycleMovePlan) -> str:
 
 def parse_cycle_move_plan(text: str) -> tuple[list[tuple[int, DoubleDiamond]], int]:
     """(moves, lambda) from the plan format."""
-    moves = []
-    lam = None
+    moves, lam = [], None
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
@@ -1270,10 +1270,7 @@ def parse_cycle_move_plan(text: str) -> tuple[list[tuple[int, DoubleDiamond]], i
         parts = ln.split()
         if len(parts) != 5 or parts[0] not in ("+1", "-1", "1"):
             raise FormatError(f"bad move line: {ln!r}")
-        fields = {}
-        for tok in parts[1:]:
-            k, _, val = tok.partition("=")
-            fields[k] = val
+        fields = dict(tok.partition("=")[::2] for tok in parts[1:])
         try:
             poles = tuple(int(x) for x in fields["poles"].split(","))
             mids = tuple(int(x) for x in fields["middles"].split(","))

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import heapq
 import itertools
 import math
 import os
@@ -620,19 +621,25 @@ class TestMoves:
         state = Counter(base.cycles) + Counter({c: rng.randint(0, 2) for c in other})
         want = +Counter({c: rng.randint(0, 2) for c in [*base.cycles, *other]})
         table = cycles._cycle_ranks(9)
-        cycs, rank = table[0], table[1]
-        child = {rank[c]: m for c, m in state.items()}
+        rank = table[1]
+        want_ranks = [0] * len(rank)
+        for c, m in want.items():
+            want_ranks[rank[c]] = m
+        key = tuple(sorted(rank[c] for c in state.elements()))
         h = multiset_distance(state, want)
         for _ in range(10):
-            pairs = cycles.diamond_config_pairs(state)
-            if not pairs:
+            children = cycles._children(cycles._move_table(9), want_ranks, key, h)
+            # by configuration pair, then move
+            moves = [m for c1, c2 in cycles.diamond_config_pairs(state) for m in pair_moves(c1, c2)]
+            assert [(sign, DoubleDiamond(*spec)) for _, _, sign, spec in children] == moves
+            for ckey, ch, sign, spec in children:
+                child = apply_diamond_move(state, DoubleDiamond(*spec), sign)
+                assert ckey == tuple(sorted(rank[c] for c in child.elements()))
+                assert ch == multiset_distance(child, want)
+            if not children:
                 break
-            c1, c2 = rng.choice(pairs)
-            sign, spec, removal, addition = rng.choice(cycles._pair_moves(table, rank[c1], rank[c2]))
-            child, h = cycles._child_state(child, h, {rank[c]: m for c, m in want.items()}, removal, addition)
+            key, h, sign, spec = rng.choice(children)
             state = apply_diamond_move(state, DoubleDiamond(*spec), sign)
-            assert {cycs[r]: m for r, m in child.items()} == state
-            assert h == multiset_distance(state, want)
 
     def test_move_requires_cycles_present(self):
         d = enumerate_double_diamonds(6)[0]
@@ -827,6 +834,116 @@ class TestSearchGolden:
         audits = [transform(base, _relabelled(base, p), mode="virtual").audit for p in CATALOGUE_PERMS]
         assert _sha256("\n".join(repr(a) for a in audits)) == VIRTUAL_AUDITS_SHA256
 
+
+
+# The dict-keyed _best_first_schedule the multiset-keyed search replaced,
+# copied verbatim but for the cycles. prefixes, with the _child_state it called.
+def _oracle_child_state(state, h, want, removal, addition):
+    """The state after a move, and its L1 distance to want: h updated by the four moved ranks."""
+    child = dict(state)
+    for r in removal:
+        m, w = child[r], want.get(r, 0)
+        h += abs(m - 1 - w) - abs(m - w)
+        if m == 1:
+            del child[r]
+        else:
+            child[r] = m - 1
+    for r in addition:
+        m, w = child.get(r, 0), want.get(r, 0)
+        h += abs(m + 1 - w) - abs(m - w)
+        child[r] = m + 1
+    return child, h
+
+
+def _oracle_best_first_schedule(n, start, goal, node_budget, seed):
+    table = cycles._cycle_ranks(n)
+    rank = table[1]
+    rng = random.Random(seed)
+    want = {rank[c]: m for c, m in goal.items()}
+    state0 = {rank[c]: m for c, m in start.items()}
+    h0 = sum(abs(state0.get(r, 0) - want.get(r, 0)) for r in {*state0, *want})
+    if h0 == 0:
+        return []
+    key0 = tuple(sorted(state0.items()))
+    heap = [(8 * h0, 0, 0, key0, h0)]
+    parents = {key0: None}
+    gscore = {key0: 0}
+    moves_of = functools.cache(lambda pair: cycles._pair_moves(table, *pair))
+    counter = itertools.count(1)
+    expanded = 0
+    while heap:
+        _, _, _, key, h = heapq.heappop(heap)
+        g = gscore[key]
+        expanded += 1
+        if expanded > node_budget:
+            return None
+        state = dict(key)
+        # a state holds positive multiplicities only: its keys are its support
+        for pair in cycles._ConfigIndex(table, state).pairs():
+            for sign, spec, removal, addition in moves_of(pair):
+                child, ch = _oracle_child_state(state, h, want, removal, addition)
+                ckey = tuple(sorted(child.items()))
+                ng = g + 1
+                seen = gscore.get(ckey)
+                if seen is not None and seen <= ng:
+                    continue
+                gscore[ckey] = ng
+                parents[ckey] = (key, (sign, spec))
+                if ch == 0:
+                    path = []
+                    while parents[ckey] is not None:
+                        ckey, (sign, spec) = parents[ckey]
+                        path.append((sign, DoubleDiamond(*spec)))
+                    return path[::-1]
+                heapq.heappush(heap, (8 * ch + ng, rng.randrange(16), next(counter), ckey, ch))
+    return None
+
+
+class TestBestFirstOracle:
+    @pytest.mark.parametrize("lam", [1, 2])
+    def test_matches_the_dict_keyed_search(self, lam):
+        aug = Counter({c: lam - 1 for c in find_cycle_system(9).cycles})
+        reached = set()
+        for seed in range(20):
+            rng = random.Random(seed)
+            a = Counter(cycles._find_system_shuffled(9, rng, 10**6).cycles) + aug
+            b = Counter(cycles._find_system_shuffled(9, rng, 10**6).cycles) + aug
+            for budget in (300, BEST_FIRST_EXPANSIONS - 1, BEST_FIRST_EXPANSIONS):
+                path = cycles._best_first_schedule(9, a, b, budget, 1)
+                assert path == _oracle_best_first_schedule(9, a, b, budget, 1), (seed, budget)
+                if path is not None:
+                    reached.add(seed)
+        # so the comparison covers returned paths, not only exhausted budgets
+        assert len(reached) == (10 if lam == 2 else 0)
+
+
+def _search_and_plan_outputs(search_first):
+    base = find_cycle_system(9)
+    other = _relabelled(base, CATALOGUE_PERMS[1])
+
+    def search():
+        out = search_diamond_free(9, seed=3, restarts=50)
+        return cycles.format_cycle_system(out) if isinstance(out, CycleSystem) else repr(out)
+
+    def plan():
+        return cycles.format_cycle_move_plan(transform(base, other, mode="lifted"))
+
+    cycles._move_table.cache_clear()
+    if search_first:
+        return search(), plan(), search()
+    return plan(), search(), plan()
+
+
+def test_move_table_does_not_depend_on_call_order():
+    search1, plan1, search2 = _search_and_plan_outputs(search_first=True)
+    plan2, search3, plan3 = _search_and_plan_outputs(search_first=False)
+    assert search1 == search2 == search3
+    assert plan1 == plan2 == plan3
+    table = cycles._cycle_ranks(9)
+    moves_of = cycles._move_table(9)
+    assert moves_of  # filled by both searches, kept across calls
+    for pair, moves in moves_of.items():
+        assert moves == cycles._pair_moves(table, *pair)
 
 # Recorded while decompositions were still solved modulo several primes and
 # combined by CRT and rational reconstruction: the exact solve must give the
