@@ -28,7 +28,7 @@ import warnings
 from fractions import Fraction
 from typing import Optional
 
-from . import __version__, cycles, exactla, latin
+from . import __version__, exactla, kernels
 from .errors import (
     FormatError,
     IdenticalSquaresError,
@@ -81,6 +81,15 @@ def _read(path: str) -> str:
         raise FormatError(f"{path} is not UTF-8 text: {e}") from e
 
 
+def _read_pair(args, parse, what: str):
+    """Digest parts, then the parsed --a and --b files; a format error unless both have one order."""
+    ta, tb = _read(args.a), _read(args.b)
+    x, y = parse(ta), parse(tb)
+    if x.n != y.n:
+        raise FormatError(f"{what} have different orders")
+    return {"a": ta, "b": tb}, x, y
+
+
 def _digest(parts: dict) -> str:
     blob = json.dumps({k: str(v) for k, v in sorted(parts.items())}, sort_keys=True)
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
@@ -120,6 +129,34 @@ def _rank_payload(n, rows, cols, rank, mode, diamond_count=None, diamond_span_ra
     }
 
 
+def _save(payload: dict, key: str, path: Optional[str], render, *render_args) -> bool:
+    """Write render(*render_args) to path when one is given, and name the file in payload[key]."""
+    if not path:
+        return False
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(render(*render_args))
+    payload[key] = path
+    return True
+
+
+def _rank_report(args, m, digest_parts: dict):
+    """The rank report of matrix m: mod --mod when given, else exact."""
+    if args.mod is None:
+        rank, mode = exactla.rank_exact(m), "exact"
+    else:
+        rank, mode = exactla.rank_mod_p(m, args.mod), f"mod-{args.mod}"
+    payload = _rank_payload(getattr(args, "n", None), m.n_rows, m.n_cols, rank, mode)
+    return payload, {**digest_parts, "mod": args.mod}, None
+
+
+def _matrix_report(args, m):
+    """The matrix report of an inclusion matrix: its dump goes to --out, else into the payload."""
+    payload = {"n": args.n, "rows": m.n_rows, "cols": m.n_cols, "nnz": m.nnz}
+    if not _save(payload, "out", args.out, exactla.dump_matrix, m):
+        payload["dump"] = exactla.dump_matrix(m)
+    return payload, {"n": args.n}, None
+
+
 def _refuse_above_cap(count: int, what: str) -> None:
     """A size error (exit 2) when a request would build or print more than OUTPUT_CAP entries."""
     if count > OUTPUT_CAP:
@@ -130,7 +167,15 @@ def _refuse_above_cap(count: int, what: str) -> None:
 # of find and diamond-free build nothing (exit 1 by arithmetic)
 _LATIN_M = ("inclusion matrix entries", lambda a: 3 * a.n**3)
 _CYCLES_M = ("inclusion matrix entries", lambda a: 12 * math.comb(a.n, 4))
-_DIAMONDS = ("diamonds", lambda a: cycles.diamond_count(a.n))
+
+
+def _diamond_count(args) -> int:
+    from . import cycles
+
+    return cycles.diamond_count(args.n)
+
+
+_DIAMONDS = ("diamonds", _diamond_count)
 _CYCLES = ("4-cycles", lambda a: 3 * math.comb(a.n, 4) if a.n % 8 == 1 else 0)
 _BUILDS = {
     ("latin", "matrix"): _LATIN_M,
@@ -138,7 +183,7 @@ _BUILDS = {
     ("latin", "basis"): ("basis entries", lambda a: 8 * (a.n - 1) ** 3 if a.out else 0),
     ("cycles", "matrix"): _CYCLES_M,
     ("cycles", "rank"): _CYCLES_M,
-    ("cycles", "diamonds"): ("diamonds", lambda a: cycles.diamond_count(a.n) if a.list else 0),
+    ("cycles", "diamonds"): ("diamonds", lambda a: _diamond_count(a) if a.list else 0),
     ("cycles", "span"): _DIAMONDS,
     ("cycles", "basis"): _DIAMONDS,
     ("cycles", "find"): _CYCLES,
@@ -170,7 +215,7 @@ def _prime(text: str) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=cycles.DEFAULT_SEED, help="seed for stochastic operations")
+    p.add_argument("--seed", type=int, default=kernels.DEFAULT_SEED, help="seed for stochastic operations")
     p.add_argument("--budget", type=_order(1), default=None, help="node budget for searches")
     p.add_argument("--mode", choices=["strict", "lifted", "virtual"], default="virtual")
     p.add_argument("--jobs", type=_order(1), default=1, help="parallel restarts for stochastic searches")
@@ -273,46 +318,28 @@ class _Negative(Exception):
         self.payload = payload
 
 
-def _run_latin(args, command, t0):
+def _run_latin(args):
+    from . import latin
+
     if args.sub == "matrix":
-        im = latin.build_inclusion_matrix(args.n)
-        payload = {"n": args.n, "rows": im.matrix.n_rows, "cols": im.matrix.n_cols, "nnz": im.matrix.nnz}
-        dump = exactla.dump_matrix(im.matrix)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(dump)
-            payload["out"] = args.out
-        else:
-            payload["dump"] = dump
-        return payload, {"n": args.n}, None
+        return _matrix_report(args, latin.build_inclusion_matrix(args.n).matrix)
     if args.sub == "rank":
-        im = latin.build_inclusion_matrix(args.n)
-        if args.mod is None:
-            rank = exactla.rank_exact(im.matrix)
-            mode = "exact"
-        else:
-            rank = exactla.rank_mod_p(im.matrix, args.mod)
-            mode = f"mod-{args.mod}"
-        return (
-            _rank_payload(args.n, im.matrix.n_rows, im.matrix.n_cols, rank, mode),
-            {"n": args.n, "mod": args.mod},
-            None,
-        )
+        return _rank_report(args, latin.build_inclusion_matrix(args.n).matrix, {"n": args.n})
     if args.sub == "basis":
         n = args.n
-        payload = {"n": n, "count": (n - 1) ** 3}
-        if args.out:
+
+        def dump():
             # row t is B_ijk for the t-th (i,j,k) in lexicographic order
             entries = {
                 (t, latin.triple_index(n, *cell)): s
                 for t, ijk in enumerate(itertools.product(range(1, n), repeat=3))
                 for cell, s in latin.intercalate_cells(*ijk, n)
             }
-            stack = exactla.SparseIntMatrix((n - 1) ** 3, n**3, entries)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(exactla.dump_matrix(stack))
-            payload["out"] = args.out
-        return payload, {"n": args.n}, None
+            return exactla.dump_matrix(exactla.SparseIntMatrix((n - 1) ** 3, n**3, entries))
+
+        payload = {"n": n, "count": (n - 1) ** 3}
+        _save(payload, "out", args.out, dump)
+        return payload, {"n": n}, None
     if args.sub == "decompose":
         text = _read(args.trade)
         trade = latin.parse_trade(text)
@@ -328,10 +355,7 @@ def _run_latin(args, command, t0):
             None,
         )
     if args.sub == "transform":
-        ta, tb = _read(args.a), _read(args.b)
-        l1, l2 = latin.parse_square(ta), latin.parse_square(tb)
-        if l1.n != l2.n:
-            raise FormatError("squares have different orders")
+        digest, l1, l2 = _read_pair(args, latin.parse_square, "squares")
         _refuse_above_cap(l1.n**3, "triple vector entries")
         plan = latin.transform(l1, l2)
         payload = {
@@ -340,11 +364,8 @@ def _run_latin(args, command, t0):
             "improper_counts": list(plan.improper_counts),
             "improper_max": plan.improper_max,
         }
-        if args.plan_out:
-            with open(args.plan_out, "w", encoding="utf-8") as fh:
-                fh.write(latin.format_move_plan(plan))
-            payload["plan_out"] = args.plan_out
-        return payload, {"a": ta, "b": tb}, None
+        _save(payload, "plan_out", args.plan_out, latin.format_move_plan, plan)
+        return payload, digest, None
     if args.sub == "validate":
         if args.square:
             text = _read(args.square)
@@ -392,6 +413,8 @@ def _restart_shares(restarts: int, jobs: int) -> list[int]:
 
 
 def _diamond_free_chunk(params):
+    from . import cycles
+
     n, seed, restarts, budget = params
     out = cycles.search_diamond_free(n, seed=seed, restarts=restarts, budget=budget)
     if isinstance(out, cycles.CycleSystem):
@@ -399,31 +422,13 @@ def _diamond_free_chunk(params):
     return ("fail", out.best_count)
 
 
-def _run_cycles(args, command, t0):
+def _run_cycles(args):
+    from . import cycles
+
     if args.sub == "matrix":
-        m = cycles.build_inclusion_matrix(args.n)
-        payload = {"n": args.n, "rows": m.n_rows, "cols": m.n_cols, "nnz": m.nnz}
-        dump = exactla.dump_matrix(m)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(dump)
-            payload["out"] = args.out
-        else:
-            payload["dump"] = dump
-        return payload, {"n": args.n}, None
+        return _matrix_report(args, cycles.build_inclusion_matrix(args.n))
     if args.sub == "rank":
-        m = cycles.build_inclusion_matrix(args.n)
-        if args.mod is None:
-            rank = cycles.matrix_rank_exact(args.n)
-            mode = "exact"
-        else:
-            rank = exactla.rank_mod_p(m, args.mod)
-            mode = f"mod-{args.mod}"
-        return (
-            _rank_payload(args.n, m.n_rows, m.n_cols, rank, mode),
-            {"n": args.n, "mod": args.mod},
-            None,
-        )
+        return _rank_report(args, cycles.build_inclusion_matrix(args.n), {"n": args.n})
     if args.sub == "diamonds":
         count = cycles.diamond_count(args.n)
         payload = {"n": args.n, "count": count}
@@ -465,25 +470,19 @@ def _run_cycles(args, command, t0):
             None,
         )
     if args.sub == "decompose":
+        if args.trade and args.b:
+            raise FormatError("cycles decompose takes --b only together with --a, not with --trade")
+        if not (args.trade or args.b):
+            raise FormatError("cycles decompose needs --b together with --a")
         if args.trade:
             text = _read(args.trade)
             tp = cycles.parse_trade_pair_file(text)
-            n = tp.n
-            _refuse_above_cap(cycles.diamond_count(n), "diamonds")
-            v = cycles.trade_vector(tp)
-            digest = {"trade": text}
+            digest, n = {"trade": text}, tp.n
         else:
-            if not args.b:
-                raise FormatError("cycles decompose needs --b together with --a")
-            ta, tb = _read(args.a), _read(args.b)
-            s1, s2 = cycles.parse_cycle_system(ta), cycles.parse_cycle_system(tb)
-            if s1.n != s2.n:
-                raise FormatError("systems have different orders")
+            digest, s1, s2 = _read_pair(args, cycles.parse_cycle_system, "systems")
             n = s1.n
-            _refuse_above_cap(cycles.diamond_count(n), "diamonds")
-            v = s1.vector() - s2.vector()
-            digest = {"a": ta, "b": tb}
-        dec = cycles.decompose_trade(v)
+        _refuse_above_cap(cycles.diamond_count(n), "diamonds")
+        dec = cycles.decompose_trade(cycles.trade_vector(tp) if args.trade else s1.vector() - s2.vector())
         basis = cycles.diamond_basis(n)
         support = [[cycles.format_diamond(basis[i]), c] for i, c in dec.support()]
         return (
@@ -498,10 +497,7 @@ def _run_cycles(args, command, t0):
             "cycle_count": len(cs),
             "cycles": [list(c) for c in cs.sorted_cycles()],
         }
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(cycles.format_cycle_system(cs))
-            payload["out"] = args.out
+        _save(payload, "out", args.out, cycles.format_cycle_system, cs)
         return payload, {"n": args.n, "budget": args.budget}, None
     if args.sub == "diamond-free":
         if args.n % 8 != 1 or args.n < 1:
@@ -539,10 +535,7 @@ def _run_cycles(args, command, t0):
             "diamond_count": 0,
             "cycles": [list(c) for c in cs.sorted_cycles()],
         }
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(cycles.format_cycle_system(cs))
-            payload["out"] = args.out
+        _save(payload, "out", args.out, cycles.format_cycle_system, cs)
         return payload, {"n": args.n, "restarts": args.restarts, "jobs": args.jobs}, args.seed
     if args.sub == "count-diamonds":
         text = _read(args.system)
@@ -553,15 +546,12 @@ def _run_cycles(args, command, t0):
             None,
         )
     if args.sub == "transform":
-        ta, tb = _read(args.a), _read(args.b)
-        s1, s2 = cycles.parse_cycle_system(ta), cycles.parse_cycle_system(tb)
-        if s1.n != s2.n:
-            raise FormatError("systems have different orders")
+        digest, s1, s2 = _read_pair(args, cycles.parse_cycle_system, "systems")
         _refuse_above_cap(cycles.diamond_count(s1.n), "diamonds")
         out = cycles.transform(
             s1, s2, mode=args.mode, lam_max=args.lam_max, seed=args.seed, budget=args.budget
         )
-        digest = {"a": ta, "b": tb, "mode": args.mode}
+        digest["mode"] = args.mode
         if isinstance(out, cycles.RationalCertificate):
             payload = {
                 "n": out.n,
@@ -579,10 +569,7 @@ def _run_cycles(args, command, t0):
             "moves": [cycles.format_move(s, d) for s, d in out.moves],
             "audit": list(out.audit),
         }
-        if args.plan_out:
-            with open(args.plan_out, "w", encoding="utf-8") as fh:
-                fh.write(cycles.format_cycle_move_plan(out))
-            payload["plan_out"] = args.plan_out
+        _save(payload, "plan_out", args.plan_out, cycles.format_cycle_move_plan, out)
         return payload, digest, args.seed
     if args.sub == "validate":
         if args.system:
@@ -613,21 +600,10 @@ def _run_cycles(args, command, t0):
     raise AssertionError(args.sub)
 
 
-def _run_linalg(args, command, t0):
+def _run_linalg(args):
     if args.sub == "rank":
         text = _read(args.matrix)
-        m = exactla.parse_matrix(text)
-        if args.mod is None:
-            rank = exactla.rank_exact(m)
-            mode = "exact"
-        else:
-            rank = exactla.rank_mod_p(m, args.mod)
-            mode = f"mod-{args.mod}"
-        return (
-            _rank_payload(None, m.n_rows, m.n_cols, rank, mode),
-            {"matrix": text, "mod": args.mod},
-            None,
-        )
+        return _rank_report(args, exactla.parse_matrix(text), {"matrix": text})
     if args.sub == "kernel":
         text = _read(args.matrix)
         m = exactla.parse_matrix(text)
@@ -635,12 +611,12 @@ def _run_linalg(args, command, t0):
         _refuse_above_cap((m.n_cols - exactla.rank_exact(m)) * m.n_cols, "kernel basis entries")
         basis = exactla.kernel_basis(m)
         payload = {"rows": m.n_rows, "cols": m.n_cols, "nullity": len(basis)}
-        if args.out:
+
+        def dump():
             stack = exactla.SparseIntMatrix.from_dense(basis) if basis else exactla.SparseIntMatrix(0, m.n_cols, {})
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(exactla.dump_matrix(stack))
-            payload["out"] = args.out
-        else:
+            return exactla.dump_matrix(stack)
+
+        if not _save(payload, "out", args.out, dump):
             payload["basis"] = basis
         return payload, {"matrix": text}, None
     if args.sub == "lattice-eq":
@@ -665,7 +641,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cycles.search_budget()
+        kernels.search_budget()
     except ValueError:
         parser.error(f"TRADE_KERNEL_BUDGET must be a positive integer, got {os.environ['TRADE_KERNEL_BUDGET']!r}")
     # each search chunk runs at least one restart, so more jobs than restarts would leave a chunk with none
@@ -677,7 +653,7 @@ def main(argv=None) -> int:
         if (args.group, args.sub) in _BUILDS:
             what, count = _BUILDS[args.group, args.sub]
             _refuse_above_cap(count(args), what)
-        payload, digest_parts, seed = _RUNNERS[args.group](args, command, t0)
+        payload, digest_parts, seed = _RUNNERS[args.group](args)
     except _Negative as neg:
         _emit(args, command, neg.payload, {"argv": " ".join(argv)}, t0=t0)
         return 1

@@ -33,7 +33,6 @@ import functools
 import heapq
 import itertools
 import math
-import os
 import random
 import warnings
 from collections import Counter
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from . import kernels
+from . import exactla, kernels
 from .errors import (
     FormatError,
     KernelMembershipError,
@@ -52,28 +51,17 @@ from .errors import (
     SpanDeficientError,
     VerificationError,
 )
-from .exactla import SparseEchelon, SparseIntMatrix, rank_exact_dense, rank_mod_p
-# perfbench/tracing.py wraps cycles.coefficients_in_span and cycles.sample_primes
-from .exactla import coefficients_in_span  # noqa: F401
+from .exactla import SparseEchelon, SparseIntMatrix, rank_mod_p
+from .kernels import DEFAULT_SEED, search_budget
+# perfbench/tracing.py wraps these names here as well as in their own modules;
+# cycles calls exactla.rank_exact_dense through its module, so a wrapper that
+# cycles picked up on import is not counted twice
+from .exactla import coefficients_in_span, rank_exact_dense  # noqa: F401
 from .primes import default_primes
 from .primes import sample_primes  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_SEED = 1
-DEFAULT_SEARCH_BUDGET = 1_000_000
-
-
-def search_budget(explicit: Optional[int] = None) -> int:
-    """Node budget for searches: explicit value, else TRADE_KERNEL_BUDGET, else default; at least 1."""
-    if explicit is None:
-        explicit = os.environ.get("TRADE_KERNEL_BUDGET", "").strip() or DEFAULT_SEARCH_BUDGET
-    budget = int(explicit)
-    if budget < 1:
-        raise ValueError(f"a search budget must be at least 1, got {budget}")
-    return budget
-
 
 # ---------------------------------------------------------------------------
 # edges and cycles
@@ -179,7 +167,7 @@ def build_inclusion_matrix(n: int) -> SparseIntMatrix:
 
 @functools.lru_cache(maxsize=None)
 def matrix_rank_exact(n: int) -> int:
-    return rank_exact_dense(build_inclusion_matrix(n).to_dense())
+    return exactla.rank_exact_dense(build_inclusion_matrix(n).to_dense())
 
 
 def kernel_dimension(n: int) -> int:
@@ -1178,6 +1166,8 @@ def parse_cycle_collection(text: str) -> tuple[int, list[FourCycle]]:
         n = int(lines[0][2:])
     except ValueError as e:
         raise FormatError(f"cycle file: bad order {lines[0]!r}") from e
+    if n < 0:
+        raise FormatError(f"cycle file: order must be non-negative, got {n}")
     cycles = []
     for ln in lines[1:]:
         parts = ln.split()

@@ -3,7 +3,9 @@
 One implementation per kernel. The mod-p routines are numpy array loops
 and import numpy when called; the cover search walks Python lists and
 never loads it. Each routine states its fixed pivot rule, so results
-depend only on the input and the prime.
+depend only on the input and the prime. The search settings live here
+too: the default seed and the node budget, which TRADE_KERNEL_BUDGET
+overrides.
 
 Overflow discipline: all moduli are below 2**31, so a single product of
 two residues is below 2**62 and a rank-one update step stays inside
@@ -13,10 +15,24 @@ modp_matvec splits the vector into 16-bit halves first.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+import os
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
+
+DEFAULT_SEED = 1
+DEFAULT_SEARCH_BUDGET = 1_000_000
+
+
+def search_budget(explicit: Optional[int] = None) -> int:
+    """Node budget for searches: explicit value, else TRADE_KERNEL_BUDGET, else default; at least 1."""
+    if explicit is None:
+        explicit = os.environ.get("TRADE_KERNEL_BUDGET", "").strip() or DEFAULT_SEARCH_BUDGET
+    budget = int(explicit)
+    if budget < 1:
+        raise ValueError(f"a search budget must be at least 1, got {budget}")
+    return budget
 
 
 def greedy_rank_filter(vectors: np.ndarray, p: int) -> np.ndarray:

@@ -646,16 +646,6 @@ def _grid_triples(grid: list[list[Optional[int]]]) -> list[tuple[int, int, int]]
     return [(i, j, k) for i, row in enumerate(grid) for j, k in enumerate(row) if k is not None]
 
 
-def parse_partial(text: str) -> PartialLatinSquare:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n = _parse_header(lines, "partial square")
-    grid = _parse_grid(n, lines[1:], "partial square")
-    try:
-        return PartialLatinSquare(n, _grid_triples(grid))
-    except ValueError as e:
-        raise FormatError(f"partial square: {e}") from e
-
-
 def format_trade(t: LatinTrade) -> str:
     p_txt = format_partial(t.p)
     q_grid = [["."] * t.n for _ in range(t.n)]

@@ -110,7 +110,7 @@ def _square(n):
     return latin.format_square(latin.LatinSquare([[(i + j) % n for j in range(n)] for i in range(n)]))
 
 
-# inputs that used to end in a traceback and exit 1; each builds its argv in a directory
+# inputs refused as format errors; each builds its argv in a directory
 BAD_INPUTS = {
     "negative-dims": lambda d: ["linalg", "rank", "--matrix", _file(d / "m", "dims -1 3\n")],
     "entry-out-of-range": lambda d: ["linalg", "kernel", "--matrix", _file(d / "m", "dims 2 2\n5 0 1\n")],
@@ -122,6 +122,23 @@ BAD_INPUTS = {
         "cycles", "transform",
         "--a", _file(d / "a", cycles.format_cycle_system(cycles.find_cycle_system(9))),
         "--b", _file(d / "b", cycles.format_cycle_system(cycles.find_cycle_system(1))),
+    ],
+    # a cycle file with a negative order, read by every command that reads one
+    "negative-order-validate": lambda d: ["cycles", "validate", "--system", _file(d / "s", "n=-3\n")],
+    "negative-order-validate-pair": lambda d: ["cycles", "validate", "--pair", _file(d / "p", "n=-3\n\nn=-3\n")],
+    "negative-order-count-diamonds": lambda d: ["cycles", "count-diamonds", "--system", _file(d / "s", "n=-3\n")],
+    "negative-order-decompose": lambda d: ["cycles", "decompose", "--trade", _file(d / "p", "n=-3\n\nn=-3\n")],
+    "negative-order-decompose-systems": lambda d: [
+        "cycles", "decompose", "--a", _file(d / "a", "n=-3\n"), "--b", _file(d / "b", "n=-3\n")
+    ],
+    "negative-order-transform": lambda d: [
+        "cycles", "transform", "--a", _file(d / "a", "n=-3\n"), "--b", _file(d / "b", "n=-3\n")
+    ],
+    # --b belongs to --a; with --trade it is refused before any file is read
+    "decompose-trade-with-b": lambda d: [
+        "cycles", "decompose",
+        "--trade", _file(d / "p", cycles.format_trade_pair_file(cycles.diamond_basis(6)[3].trade_pair(6))),
+        "--b", str(d / "nonexistent"),
     ],
     "lattice-above-cap": lambda d: [
         "linalg", "lattice-eq",
@@ -166,6 +183,9 @@ def run_process(argv):
         ["latin", "rank", "--n", "3", "--mod", "1"],
         ["cycles", "rank", "--n", "6", "--mod", str(2**31)],
         ["TRADE_KERNEL_BUDGET=abc", "cycles", "find", "--n", "9"],
+        # the environment is checked for every group, not only where a search reads it
+        ["TRADE_KERNEL_BUDGET=abc", "latin", "rank", "--n", "3"],
+        ["TRADE_KERNEL_BUDGET=abc", "linalg", "rank", "--matrix", "m.txt"],
         ["cycles", "diamond-free", "--n", "9", "--jobs", "-3"],
         ["cycles", "diamond-free", "--n", "9", "--jobs", "0"],
         ["cycles", "diamond-free", "--n", "9", "--restarts", "0"],
@@ -615,7 +635,8 @@ def test_latin_transform_payload_and_plan_pinned(capsys, tmp_path, n):
     assert got == LATIN_TRANSFORM_SHA256[n]
 
 
-# Run in a fresh interpreter: the modules a command leaves loaded. An empty
+# Run in a fresh interpreter: the modules a command leaves loaded, as
+# [exit code, numpy and process pools, tradekernel submodules]. An empty
 # argv only imports the CLI.
 _LOADED_PROBE = """
 import contextlib, io, json, sys
@@ -625,8 +646,31 @@ code = 0
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-print(json.dumps([code, [m for m in ("numpy", "concurrent.futures") if m in sys.modules]]))
+print(json.dumps([
+    code,
+    [m for m in ("numpy", "concurrent.futures") if m in sys.modules],
+    sorted(m for m in sys.modules if m.startswith("tradekernel.")),
+]))
 """
+
+# every command loads the CLI with its shared modules, and only its own group's module on top
+_CORE_MODULES = ["tradekernel.cli", "tradekernel.errors", "tradekernel.exactla", "tradekernel.kernels", "tradekernel.primes"]
+_GROUP_MODULES = {"latin": ["tradekernel.latin"], "cycles": ["tradekernel.cycles"], "linalg": []}
+
+
+def _loaded(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tradekernel.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, json.dumps(argv)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def _group_modules(argv):
+    return sorted(_CORE_MODULES + (_GROUP_MODULES[argv[0]] if argv else []))
+
 
 # commands that build no CycleVector or TripleVector
 _NUMPY_FREE = {
@@ -646,13 +690,35 @@ _NUMPY_FREE = {
 def test_command_loads_neither_numpy_nor_process_pools(tmp_path, case):
     m = _file(tmp_path / "m.txt", "dims 3 4\n0 0 1\n0 1 2\n1 2 -1\n2 3 3\n")
     argv = [a.format(m=m) for a in _NUMPY_FREE[case]]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tradekernel.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", _LOADED_PROBE, json.dumps(argv)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == [0, []]
+    assert _loaded(argv) == [0, [], _group_modules(argv)]
+
+
+# one call of every latin and linalg subcommand, and the cycles commands that read files
+_GROUP_ONLY = {
+    "latin-matrix": ["latin", "matrix", "--n", "3", "--out", "{d}/lm.txt"],
+    "latin-basis": ["latin", "basis", "--n", "3", "--out", "{d}/lb.txt"],
+    "latin-decompose": ["latin", "decompose", "--trade", f"{DATA}/example4.trade"],
+    "latin-transform": ["latin", "transform", "--a", "{d}/a.sq", "--b", "{d}/b.sq", "--plan-out", "{d}/p.txt"],
+    "latin-validate-square": ["latin", "validate", "--square", "{d}/a.sq"],
+    "latin-validate-trade": ["latin", "validate", "--trade", f"{DATA}/example4.trade"],
+    "linalg-rank": ["linalg", "rank", "--matrix", "{d}/m.txt"],
+    "linalg-rank-mod": ["linalg", "rank", "--matrix", "{d}/m.txt", "--mod", "7"],
+    "linalg-kernel-out": ["linalg", "kernel", "--matrix", "{d}/m.txt", "--out", "{d}/k.txt"],
+    "cycles-matrix": ["cycles", "matrix", "--n", "5"],
+    "cycles-validate": ["cycles", "validate", "--system", "{d}/s.cyc"],
+    "cycles-count-diamonds": ["cycles", "count-diamonds", "--system", "{d}/s.cyc"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GROUP_ONLY))
+def test_command_loads_only_its_group_module(tmp_path, case):
+    _file(tmp_path / "m.txt", "dims 3 4\n0 0 1\n0 1 2\n1 2 -1\n2 3 3\n")
+    _file(tmp_path / "a.sq", _square(4))
+    _file(tmp_path / "b.sq", latin.format_square(latin.LatinSquare([[(i - j) % 4 for j in range(4)] for i in range(4)])))
+    _file(tmp_path / "s.cyc", cycles.format_cycle_system(cycles.find_cycle_system(9)))
+    argv = [a.format(d=tmp_path) for a in _GROUP_ONLY[case]]
+    code, _, modules = _loaded(argv)
+    assert (code, modules) == (0, _group_modules(argv))
 
 
 def test_jsonable_numpy_integers():
