@@ -481,6 +481,8 @@ def _run_cycles(args):
         else:
             digest, s1, s2 = _read_pair(args, cycles.parse_cycle_system, "systems")
             n = s1.n
+        if n < 4:
+            raise FormatError(f"cycles decompose: K_{n} has no 4-cycles; the order must be at least 4")
         _refuse_above_cap(cycles.diamond_count(n), "diamonds")
         dec = cycles.decompose_trade(cycles.trade_vector(tp) if args.trade else s1.vector() - s2.vector())
         basis = cycles.diamond_basis(n)

@@ -691,7 +691,10 @@ def parse_trade_pair(text: str) -> tuple[PartialLatinSquare, PartialLatinSquare]
 
 def parse_trade(text: str) -> LatinTrade:
     p, q = parse_trade_pair(text)
-    return LatinTrade(p, q)
+    try:
+        return LatinTrade(p, q)
+    except ValueError as e:
+        raise FormatError(f"trade: {e}") from e
 
 
 def format_move_plan(plan: MovePlan) -> str:
@@ -708,13 +711,16 @@ def parse_move_plan(text: str) -> tuple[list[tuple[int, int, int, int]], int]:
         ln = ln.strip()
         if not ln:
             continue
-        if ln.startswith("improper_max="):
-            improper_max = int(ln.split("=", 1)[1])
-            continue
         parts = ln.split()
-        if len(parts) != 4 or parts[0] not in ("+1", "-1", "1"):
-            raise FormatError(f"bad move line: {ln!r}")
-        moves.append((int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])))
+        try:
+            if ln.startswith("improper_max="):
+                improper_max = int(ln.split("=", 1)[1])
+            elif len(parts) == 4 and parts[0] in ("+1", "-1", "1"):
+                moves.append((int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])))
+            else:
+                raise ValueError(ln)
+        except ValueError as e:
+            raise FormatError(f"bad plan line: {ln!r}") from e
     if improper_max is None:
         raise FormatError("missing improper_max line")
     return moves, improper_max

@@ -139,9 +139,9 @@ def test_diamond_span():
 
 
 def _diamond_cols(d):
-    v = cycles.diamond_vector(d, 9)
-    idx = [int(i) for i in v.entries.nonzero()[0]]
-    return idx, [int(v.entries[i]) for i in idx]
+    v = cycles.diamond_vector(d, 9).to_ints()
+    idx = [i for i, x in enumerate(v) if x]
+    return idx, [v[i] for i in idx]
 
 
 @criterion(6, "cycle-system-existence", 300)

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,15 @@ def _square(n):
     return latin.format_square(latin.LatinSquare([[(i + j) % n for j in range(n)] for i in range(n)]))
 
 
+def _one_move_away(cs):
+    """cs after one diamond move, so the pair differs by one double diamond."""
+    table = cycles._cycle_ranks(cs.n)
+    pairs = cycles.diamond_config_pairs(cs)
+    sign, spec, _, _ = cycles._pair_moves(table, *(table[1][c] for c in pairs[0]))[0]
+    moved = cycles.apply_diamond_move(Counter(cs.cycles), cycles.DoubleDiamond(*spec), sign)
+    return cycles.CycleSystem(cs.n, list(moved))
+
+
 # inputs refused as format errors; each builds its argv in a directory
 BAD_INPUTS = {
     "negative-dims": lambda d: ["linalg", "rank", "--matrix", _file(d / "m", "dims -1 3\n")],
@@ -134,6 +144,17 @@ BAD_INPUTS = {
     "negative-order-transform": lambda d: [
         "cycles", "transform", "--a", _file(d / "a", "n=-3\n"), "--b", _file(d / "b", "n=-3\n")
     ],
+    # K_0 and K_1 have 4-cycle systems (empty ones) but no 4-cycles to decompose over
+    "order-0-decompose-systems": lambda d: [
+        "cycles", "decompose", "--a", _file(d / "a", "n=0\n"), "--b", _file(d / "b", "n=0\n")
+    ],
+    "order-1-decompose-systems": lambda d: [
+        "cycles", "decompose", "--a", _file(d / "a", "n=1\n"), "--b", _file(d / "b", "n=1\n")
+    ],
+    # two well-formed grids that are not a trade (condition 2)
+    "latin-decompose-not-a-trade": lambda d: [
+        "latin", "decompose", "--trade", _file(d / "t", "n=2\n0 1\n1 0\n\n0 1\n1 0\n")
+    ],
     # --b belongs to --a; with --trade it is refused before any file is read
     "decompose-trade-with-b": lambda d: [
         "cycles", "decompose",
@@ -154,6 +175,15 @@ def test_bad_input_is_format_error(capsys, tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_transform_of_empty_systems_is_an_empty_plan(capsys, tmp_path, n):
+    # decompose refuses these orders; transform of a system to itself needs no decomposition
+    a = _file(tmp_path / "a", f"n={n}\n")
+    code, rep = run_json(capsys, "cycles", "transform", "--a", a, "--b", a)
+    assert code == 0
+    assert rep["payload"]["result"] == "plan" and rep["payload"]["moves"] == []
 
 
 def run_process(argv):
@@ -672,7 +702,7 @@ def _group_modules(argv):
     return sorted(_CORE_MODULES + (_GROUP_MODULES[argv[0]] if argv else []))
 
 
-# commands that build no CycleVector or TripleVector
+# commands that build no TripleVector
 _NUMPY_FREE = {
     "import": [],
     "latin-rank": ["latin", "rank", "--n", "6"],
@@ -683,13 +713,22 @@ _NUMPY_FREE = {
     "diamonds-9": ["cycles", "diamonds", "--n", "9"],
     "find-25": ["cycles", "find", "--n", "25"],
     "diamond-free-9": ["cycles", "diamond-free", "--n", "9", "--seed", "1"],
+    "decompose-trade-9": ["cycles", "decompose", "--trade", "{d}/t.tp"],
+    "decompose-systems-9": ["cycles", "decompose", "--a", "{d}/a.cyc", "--b", "{d}/b.cyc"],
+    "transform-virtual-9": ["cycles", "transform", "--a", "{d}/a.cyc", "--b", "{d}/b.cyc", "--mode", "virtual"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_NUMPY_FREE))
 def test_command_loads_neither_numpy_nor_process_pools(tmp_path, case):
     m = _file(tmp_path / "m.txt", "dims 3 4\n0 0 1\n0 1 2\n1 2 -1\n2 3 3\n")
-    argv = [a.format(m=m) for a in _NUMPY_FREE[case]]
+    cs = cycles.find_cycle_system(9)
+    cs2 = _one_move_away(cs)
+    _file(tmp_path / "a.cyc", cycles.format_cycle_system(cs))
+    _file(tmp_path / "b.cyc", cycles.format_cycle_system(cs2))
+    tp = cycles.CycleTradePair(9, set(cs.cycles) - set(cs2.cycles), set(cs2.cycles) - set(cs.cycles))
+    _file(tmp_path / "t.tp", cycles.format_trade_pair_file(tp))
+    argv = [a.format(m=m, d=tmp_path) for a in _NUMPY_FREE[case]]
     assert _loaded(argv) == [0, [], _group_modules(argv)]
 
 
@@ -797,14 +836,7 @@ class TestRoundTrips:
 
     def test_cycle_transform_plan_file_parses(self, capsys, tmp_path):
         cs = cycles.find_cycle_system(9)
-        pairs = cycles.diamond_config_pairs(cs)
-        table = cycles._cycle_ranks(9)
-        sign, spec, _, _ = cycles._pair_moves(table, *(table[1][c] for c in pairs[0]))[0]
-        d = cycles.DoubleDiamond(*spec)
-        from collections import Counter
-
-        cs2 = cycles.CycleSystem(9, list(cycles.apply_diamond_move(
-            Counter({c: 1 for c in cs.cycles}), d, sign)))
+        cs2 = _one_move_away(cs)
         a = tmp_path / "a.cyc"
         b = tmp_path / "b.cyc"
         a.write_text(cycles.format_cycle_system(cs))

@@ -153,6 +153,40 @@ class TestInclusionMatrix:
         assert m.matvec(v.to_ints()) == [0] * m.n_rows
 
 
+# sparse vectors over the 45 cycles of K_6; small entries make cancellation common
+_entries = st.dictionaries(st.integers(0, 44), st.integers(-2, 2), max_size=12)
+
+
+class TestCycleVector:
+    @settings(max_examples=200, deadline=None)
+    @given(a=_entries, b=_entries, c=st.integers(-3, 3))
+    def test_matches_dense_oracle(self, a, b, c):
+        da, db = ([e.get(i, 0) for i in range(45)] for e in (a, b))
+        va, vb = cycles.CycleVector(6, a), cycles.CycleVector(6, b)
+        results = [
+            (va, da),
+            (va.add_scaled(vb, c), [x + c * y for x, y in zip(da, db)]),
+            (va + vb, [x + y for x, y in zip(da, db)]),
+            (va - vb, [x - y for x, y in zip(da, db)]),
+            (va - va, [0] * 45),
+        ]
+        cycs = enumerate_cycles(6)
+        for v, dense in results:
+            assert v.to_ints() == dense
+            assert 0 not in v.entries.values()
+            assert v.support() == [(cycs[i], x) for i, x in enumerate(dense) if x]
+            assert v.is_zero() == (not any(dense))
+            assert repr(v) == f"CycleVector(n=6, nnz={sum(map(bool, dense))})"
+        assert (va == vb) == (da == db)
+        assert va - va == cycles.CycleVector(6)
+        assert cycles.CycleVector(6) != cycles.CycleVector(7)
+
+    @given(i=st.one_of(st.integers(max_value=-1), st.integers(min_value=45)), x=st.integers(-2, 2))
+    def test_index_out_of_range(self, i, x):
+        with pytest.raises(ValueError):
+            cycles.CycleVector(6, {i: x})
+
+
 class TestSystems:
     def test_find_deterministic_and_valid(self):
         a = find_cycle_system(9)
@@ -314,7 +348,7 @@ def _table_rows(n):
 
 
 def _nonzero(v):
-    return {int(i): int(v.entries[i]) for i in np.flatnonzero(v.entries)}
+    return {i: x for i, x in enumerate(v.to_ints()) if x}
 
 
 class TestBasisSelection:
@@ -1016,6 +1050,13 @@ class TestFormats:
         moves, lam = cycles.parse_cycle_move_plan(cycles.format_cycle_move_plan(plan))
         assert moves == [(sign, d)]
         assert lam == 1
+
+    @pytest.mark.parametrize("text", ["lambda=x\n", "+1 poles=0,x middles=2,3,4,5 from=0 to=1\nlambda=1\n"])
+    def test_parse_plan_rejects_bad_lines(self, text):
+        from tradekernel.errors import FormatError
+
+        with pytest.raises(FormatError):
+            cycles.parse_cycle_move_plan(text)
 
     def test_parse_rejects_noncanonical(self):
         from tradekernel.errors import FormatError

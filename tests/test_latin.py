@@ -428,6 +428,16 @@ class TestFormats:
         assert moves == list(plan.moves)
         assert improper_max == plan.improper_max
 
+    @pytest.mark.parametrize("text", ["+1 1 1 1\nimproper_max=x\n", "+1 1 x 1\nimproper_max=0\n", "+2 1 1 1\nimproper_max=0\n"])
+    def test_parse_move_plan_rejects_bad_lines(self, text):
+        with pytest.raises(FormatError):
+            parse_move_plan(text)
+
+    def test_parse_trade_rejects_a_non_trade(self):
+        # well-formed grids, but the same symbol on both sides of a cell (condition 2)
+        with pytest.raises(FormatError, match="condition 2"):
+            parse_trade("n=2\n0 1\n1 0\n\n0 1\n1 0\n")
+
     def test_parse_square_rejects_partial(self):
         with pytest.raises(FormatError):
             parse_square("n=2\n0 .\n. 1\n")
