@@ -105,6 +105,10 @@ class FourCycle(NamedTuple):
         a, b, c, d = self
         return len({a, b, c, d}) == 4 and a == min(self) and b < d
 
+    def in_range(self, n: int) -> bool:
+        """The vertex rule of systems, trade pairs and cycle files: 0 <= v < n."""
+        return 0 <= min(self) and max(self) < n
+
 
 def canonical_cycle(vs: Sequence[int]) -> FourCycle:
     """Canonical form of the 4-cycle visiting vs in order."""
@@ -235,7 +239,7 @@ def _check_canonical_in_range(cycles: Iterable[FourCycle], n: int) -> None:
     for c in cycles:
         if not isinstance(c, FourCycle) or not c.is_canonical():
             raise ValueError(f"cycle {tuple(c)} is not in canonical form")
-        if max(c) >= n:
+        if not c.in_range(n):
             raise ValueError(f"cycle {tuple(c)} has a vertex outside 0..{n - 1}")
 
 
@@ -837,15 +841,29 @@ def apply_diamond_move(
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     cnt = Counter(state)
-    removal, addition = d.move_cycles(sign)
-    missing = [c for c in removal if cnt[c] < 1]
-    if missing:
-        raise MissingCyclesError(missing)
-    for c in removal:
-        cnt[c] -= 1
-    for c in addition:
-        cnt[c] += 1
+    _apply_moves(cnt, [(sign, d)], True)
     return +cnt
+
+
+def _apply_moves(state: dict, moves, nonnegative: bool) -> list[int]:
+    """Apply signed diamond moves to the cycle multiset state in place; the count of multiplicities
+    outside {0,1} after each move. With nonnegative, a move removing an absent cycle raises MissingCyclesError."""
+    improper = sum(m not in (0, 1) for m in state.values())
+    audit = []
+    for sign, d in moves:
+        removal, addition = d.move_cycles(sign)
+        if nonnegative:
+            missing = [c for c in removal if state.get(c, 0) < 1]
+            if missing:
+                raise MissingCyclesError(missing)
+        for c, m in zip((*removal, *addition), (-1, -1, 1, 1)):
+            old = state.pop(c, 0)
+            m += old
+            improper += (m not in (0, 1)) - (old not in (0, 1))
+            if m:
+                state[c] = m
+        audit.append(improper)
+    return audit
 
 
 @dataclass(frozen=True)
@@ -957,42 +975,31 @@ def _signed_moves_from(dec: DiamondDecomposition) -> list[tuple[int, DoubleDiamo
     return moves
 
 
-def _replay_virtual(start: Counter, goal: Counter, moves) -> tuple[int, ...]:
-    """Multiplicities outside {0,1} after each move, updated by its 4 cycles."""
+def _replay(start: Counter, goal: Counter, moves, nonnegative: bool) -> tuple[int, ...]:
+    """The audit of the moves replayed on a copy of start; VerificationError unless they reach goal."""
     state = dict(start)
-    improper = sum(m not in (0, 1) for m in state.values())
-    audit = []
-    for sign, d in moves:
-        removal, addition = d.move_cycles(sign)
-        for c, m in zip((*removal, *addition), (-1, -1, 1, 1)):
-            old = state.pop(c, 0)
-            m += old
-            improper += (m not in (0, 1)) - (old not in (0, 1))
-            if m:
-                state[c] = m
-        audit.append(improper)
+    audit = _apply_moves(state, moves, nonnegative)
     if state != goal:
         raise VerificationError("replaying the move plan does not reach the goal system")
     return tuple(audit)
 
 
-def _schedule_strict(start: Counter, goal: Counter, pending: list) -> list:
-    """Greedy order keeping every intermediate a valid system (0/1 mults)."""
-    state = Counter(start)
+def _schedule_strict(start: Counter, pending: list) -> list:
+    """Greedy order of the moves keeping every intermediate a system; transform's replay checks it."""
+    state = set(start)
     plan = []
     pending = list(pending)
     while pending:
         for idx, (sign, d) in enumerate(pending):
             removal, addition = d.move_cycles(sign)
-            if all(state[c] == 1 for c in removal) and all(state[c] == 0 for c in addition):
+            if all(c in state for c in removal) and not any(c in state for c in addition):
                 break
         else:
             raise ScheduleFailureError(f"strict scheduling stuck with {len(pending)} moves left", prefix=plan)
         del pending[idx]
-        state = apply_diamond_move(state, d, sign)
+        state.difference_update(removal)
+        state.update(addition)
         plan.append((sign, d))
-    if state != goal:
-        raise VerificationError("the strict schedule does not reach the goal system")
     return plan
 
 
@@ -1089,7 +1096,7 @@ def transform(
     intermediate be a valid system and may fail; lifted searches for a
     nonnegative path between both systems augmented with lam-1 copies of
     the deterministic filler system, raising lam until the search
-    succeeds. Replay verification runs before anything is returned.
+    succeeds. Each plan is replayed once, by _replay, before it is returned.
     """
     if cs1.n != cs2.n:
         raise ValueError("orders differ")
@@ -1104,17 +1111,14 @@ def transform(
         basis = diamond_basis(n)
         support = tuple((basis[i], c) for i, c in dec.support())
         return RationalCertificate(n, support, True)
-    moves = _signed_moves_from(dec)
-    if mode == "virtual":
-        audit = _replay_virtual(start, goal, moves)
-        return CycleMovePlan(n, mode, 1, tuple(moves), audit)
-    if mode == "strict":
-        plan = _schedule_strict(start, goal, moves)
-        audit = _replay_virtual(start, goal, plan)
-        if any(audit):
+    if mode != "lifted":
+        moves = _signed_moves_from(dec)
+        if mode == "strict":
+            moves = _schedule_strict(start, moves)
+        audit = _replay(start, goal, moves, False)
+        if mode == "strict" and any(audit):
             raise VerificationError("a strict plan passed through a state that is not a system")
-        return CycleMovePlan(n, mode, 1, tuple(plan), audit)
-    # lifted
+        return CycleMovePlan(n, mode, 1, tuple(moves), audit)
     filler = find_cycle_system(n).cycles
     node_budget = search_budget(budget if budget is not None else 100_000)
     for lam in range(1, lam_max + 1):
@@ -1123,12 +1127,7 @@ def transform(
         path = _best_first_schedule(n, a, b, node_budget, seed)
         if path is None:
             continue
-        state = Counter(a)
-        for sign, d in path:
-            # raises MissingCycles if the path ever went negative
-            state = apply_diamond_move(state, d, sign)
-        if state != b:
-            raise VerificationError(f"replaying the lifted plan at lambda={lam} does not reach the goal")
+        _replay(a, b, path, True)
         return CycleMovePlan(n, "lifted", lam, tuple(path), tuple(0 for _ in path))
     raise ScheduleFailureError(
         f"lifted scheduling failed for lambda up to {lam_max} within budget {node_budget}"
@@ -1165,7 +1164,7 @@ def parse_cycle_collection(text: str) -> tuple[int, list[FourCycle]]:
             c = FourCycle(*(int(x) for x in parts))
         except ValueError as e:
             raise FormatError(f"cycle file: bad cycle line {ln!r}") from e
-        if not c.is_canonical() or max(c) >= n:
+        if not c.is_canonical() or not c.in_range(n):
             raise FormatError(f"cycle file: {tuple(c)} is not canonical for n={n}")
         cycles.append(c)
     return n, cycles

@@ -6,8 +6,10 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -120,6 +122,21 @@ def _one_move_away(cs):
     return cycles.CycleSystem(cs.n, list(moved))
 
 
+def _negative_vertex_system(d):
+    """A relabelled find_cycle_system(9) with its line `1 6 3 7` as `-1 6 3 7`: canonical, its 36 edges distinct."""
+    perm = (2, 1, 5, 7, 8, 6, 3, 0, 4)
+    relabelled = [cycles.canonical_cycle([perm[v] for v in c]) for c in cycles.find_cycle_system(9).cycles]
+    text = cycles.format_cycle_system(cycles.CycleSystem(9, relabelled))
+    assert "\n1 6 3 7\n" in text
+    return _file(d / "neg.cyc", text.replace("\n1 6 3 7\n", "\n-1 6 3 7\n"))
+
+
+def _negative_vertex_pair(d):
+    """The n=6 diamond trade-pair file with every vertex 0 written as -1."""
+    text = cycles.format_trade_pair_file(cycles.diamond_basis(6)[3].trade_pair(6))
+    return _file(d / "neg.pair", re.sub(r"\b0\b", "-1", text))
+
+
 # inputs refused as format errors; each builds its argv in a directory
 BAD_INPUTS = {
     "negative-dims": lambda d: ["linalg", "rank", "--matrix", _file(d / "m", "dims -1 3\n")],
@@ -143,6 +160,19 @@ BAD_INPUTS = {
     ],
     "negative-order-transform": lambda d: [
         "cycles", "transform", "--a", _file(d / "a", "n=-3\n"), "--b", _file(d / "b", "n=-3\n")
+    ],
+    # a vertex below 0, read by every command that reads a cycle file
+    "negative-vertex-validate": lambda d: ["cycles", "validate", "--system", _negative_vertex_system(d)],
+    "negative-vertex-validate-pair": lambda d: ["cycles", "validate", "--pair", _negative_vertex_pair(d)],
+    "negative-vertex-count-diamonds": lambda d: ["cycles", "count-diamonds", "--system", _negative_vertex_system(d)],
+    "negative-vertex-decompose": lambda d: ["cycles", "decompose", "--trade", _negative_vertex_pair(d)],
+    "negative-vertex-decompose-systems": lambda d: [
+        "cycles", "decompose", "--a", _negative_vertex_system(d),
+        "--b", _file(d / "b", cycles.format_cycle_system(cycles.find_cycle_system(9))),
+    ],
+    "negative-vertex-transform": lambda d: [
+        "cycles", "transform", "--a", _file(d / "a", cycles.format_cycle_system(cycles.find_cycle_system(9))),
+        "--b", _negative_vertex_system(d),
     ],
     # K_0 and K_1 have 4-cycle systems (empty ones) but no 4-cycles to decompose over
     "order-0-decompose-systems": lambda d: [
@@ -544,6 +574,81 @@ def test_fuzz_exit_codes(fuzz_files, data):
             assert code == 2
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# every file-reading subcommand, its argv with {0} and {1} for its files, and the fixtures they start from
+MUTATED_COMMANDS = (
+    ("latin decompose --trade {0}", ("latin-trade",)),
+    ("latin transform --a {0} --b {1}", ("square-a", "square-b")),
+    ("latin validate --square {0}", ("square-a",)),
+    ("latin validate --trade {0}", ("latin-trade",)),
+    ("cycles validate --system {0}", ("system-a",)),
+    ("cycles validate --pair {0}", ("pair",)),
+    ("cycles count-diamonds --system {0}", ("system-a",)),
+    ("cycles decompose --trade {0}", ("pair",)),
+    ("cycles decompose --a {0} --b {1}", ("system-a", "system-b")),
+    ("cycles transform --a {0} --b {1} --mode virtual", ("system-a", "system-b")),
+    ("cycles transform --a {0} --b {1} --mode strict", ("system-a", "system-b")),
+    ("cycles transform --a {0} --b {1} --mode lifted --lam-max 1 --budget 2000", ("system-a", "system-b")),
+    ("linalg rank --matrix {0}", ("matrix",)),
+    ("linalg kernel --matrix {0}", ("matrix",)),
+    ("linalg lattice-eq --a {0} --b {1}", ("lattice-a", "lattice-b")),
+)
+MUTATED_CASES = 300
+
+
+def _mutated(rng, text):
+    """text after one edit: a line dropped, duplicated or swapped, a truncation, or an integer replaced."""
+    lines = text.split("\n")
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    edit = rng.randrange(5)
+    if edit == 0:
+        del lines[i]
+    elif edit == 1:
+        lines.insert(i, lines[i])
+    elif edit == 2:
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == 3:
+        return text[: rng.randrange(len(text) + 1)]
+    elif edit == 4 and re.search(r"\d", text):
+        m = rng.choice(list(re.finditer(r"-?\d+", text)))
+        return text[: m.start()] + rng.choice(["-1", "0", str(10**30), "x"]) + text[m.end() :]
+    return "\n".join(lines)
+
+
+def test_mutated_inputs_end_in_a_documented_exit_code(tmp_path):
+    # every command reads valid fixtures but one, which has had one or two seeded edits
+    lattice = "dims 2 3\n0 0 1\n0 1 2\n1 2 3\n"
+    texts = {
+        "latin-trade": Path(DATA, "example4.trade").read_text(encoding="utf-8"),
+        "square-a": _square(5),
+        "square-b": latin.format_square(latin.LatinSquare([[(2 * i + j) % 5 for j in range(5)] for i in range(5)])),
+        "system-a": cycles.format_cycle_system(cycles.find_cycle_system(9)),
+        "system-b": cycles.format_cycle_system(_one_move_away(cycles.find_cycle_system(9))),
+        "pair": cycles.format_trade_pair_file(cycles.diamond_basis(6)[3].trade_pair(6)),
+        "matrix": "dims 3 4\n0 0 1\n0 2 -2\n1 1 3\n2 3 1\n",
+        "lattice-a": lattice,
+        # the same lattice: row 1 plus row 0
+        "lattice-b": lattice + "1 0 1\n1 1 2\n",
+    }
+    rng = random.Random("mutated-inputs")
+    for case in range(MUTATED_CASES):
+        template, names = rng.choice(MUTATED_COMMANDS)
+        edited = rng.randrange(len(names))
+        paths = []
+        for k, name in enumerate(names):
+            text = texts[name]
+            if k == edited:
+                for _ in range(rng.randint(1, 2)):
+                    text = _mutated(rng, text)
+            paths.append(_file(tmp_path / f"{case}-{k}", text))
+        argv = template.format(*paths).split()
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, Path(paths[edited]).read_text(), out.getvalue())
+        assert time.perf_counter() - t0 < 2.0, argv
 
 
 # sha256 of json.dumps(payload, sort_keys=True), recorded with the dense

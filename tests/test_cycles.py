@@ -4,6 +4,7 @@ import functools
 import hashlib
 import heapq
 import itertools
+import json
 import math
 import os
 import random
@@ -690,9 +691,10 @@ class TestMoves:
         start = Counter({c: 1 for c in cs.cycles})
         sign, d = pair_moves(*cycles.diamond_config_pairs(cs)[0])[0]
         goal = apply_diamond_move(start, d, sign)
-        assert cycles._replay_virtual(start, goal, [(sign, d)]) == (0,)
-        with pytest.raises(VerificationError):
-            cycles._replay_virtual(start, goal, [])
+        for nonnegative in (False, True):
+            assert cycles._replay(start, goal, [(sign, d)], nonnegative) == (0,)
+            with pytest.raises(VerificationError):
+                cycles._replay(start, goal, [], nonnegative)
 
     def test_transform_single_move_pair(self):
         # hand-build two systems one diamond move apart
@@ -812,6 +814,13 @@ BEST_FIRST_LAMBDA2 = ("1ef59a0780f87db46f7a2ea84d8c4a3dea3cac239c8775c8bccf98e8a
 BEST_FIRST_EXPANSIONS = 490
 # sha256 of the virtual plans' audit tuples of the catalogue pairs, one repr a line
 VIRTUAL_AUDITS_SHA256 = "ad4cce05f6510c54b4648fad0c3b58417f69b5aea3d4f817cd1b36a0c93c1621"
+# Recorded while the strict scheduler still applied each move to a Counter
+# and checked the goal itself. The catalogue pairs stick at once, with an
+# empty prefix and this many moves left.
+STRICT_CATALOGUE_LEFT = (121, 121, 129, 108, 129, 93, 47, 111)
+# The near pairs: sha256 over one line per pair (the plan file's sha256 and
+# its audit, the failure text and its prefix, or a certificate), and the plan count
+STRICT_NEAR = ("4536cbca4313735944598093bccde63dc6132e4f1bd3b5afebb9d446cd9284ce", 71)
 
 
 def _relabelled(base, perm):
@@ -820,6 +829,26 @@ def _relabelled(base, perm):
 
 def _move_lines(moves):
     return "".join(cycles.format_move(sign, d) + "\n" for sign, d in moves)
+
+
+@functools.cache
+def _near_pairs(count=300):
+    """Seeded pairs: a shuffled 4CS(9), and that system after a walk of 1 to 3 random diamond moves."""
+    rng = random.Random(5)
+    table = cycles._cycle_ranks(9)
+    out = []
+    for _ in range(count):
+        base = cycles._find_system_shuffled(9, rng, 10**6)
+        state = Counter(base.cycles)
+        for _ in range(rng.randint(1, 3)):
+            pairs = cycles.diamond_config_pairs(state)
+            if not pairs:
+                break
+            c1, c2 = rng.choice(pairs)
+            sign, spec, _, _ = rng.choice(cycles._pair_moves(table, table[1][c1], table[1][c2]))
+            state = apply_diamond_move(state, DoubleDiamond(*spec), sign)
+        out.append((base, CycleSystem(9, list(state))))
+    return out
 
 
 class TestSearchGolden:
@@ -868,6 +897,84 @@ class TestSearchGolden:
         audits = [transform(base, _relabelled(base, p), mode="virtual").audit for p in CATALOGUE_PERMS]
         assert _sha256("\n".join(repr(a) for a in audits)) == VIRTUAL_AUDITS_SHA256
 
+    def test_strict_catalogue_stuck(self):
+        base = find_cycle_system(9)
+        for perm, left in zip(CATALOGUE_PERMS, STRICT_CATALOGUE_LEFT):
+            with pytest.raises(ScheduleFailureError) as e:
+                transform(base, _relabelled(base, perm), mode="strict")
+            assert (str(e.value), e.value.prefix) == (f"strict scheduling stuck with {left} moves left", [])
+
+    def test_strict_near_pairs(self):
+        lines, plans = [], 0
+        for i, (a, b) in enumerate(_near_pairs()):
+            try:
+                out = transform(a, b, mode="strict")
+            except ScheduleFailureError as e:
+                lines.append(f"{i} {e} {_sha256(_move_lines(e.prefix))}")
+                continue
+            if isinstance(out, RationalCertificate):
+                lines.append(f"{i} certificate")
+            else:
+                plans += 1
+                lines.append(f"{i} {_sha256(cycles.format_cycle_move_plan(out))} {out.audit}")
+        assert (_sha256("\n".join(lines)), plans) == STRICT_NEAR
+
+
+# a transform whose schedule is corrupted before its replay, and how the CLI must end under -O:
+# exit code, payload error and a part of its message
+CORRUPTED_PLANS = {
+    # the lifted path stops one move short of the goal
+    "lifted-short": ("lifted", "_best_first_schedule", "path[:-1]", 3, "Verification", "does not reach the goal"),
+    # the lifted path starts with the first move undone: it removes cycles the start lacks
+    "lifted-missing": (
+        "lifted", "_best_first_schedule", "[(-path[0][0], path[0][1])] + path", 1, "MissingCycles", "not present"
+    ),
+    # the strict plan undoes and redoes its first move, so it reaches the goal through negative multiplicities
+    "strict-negative": (
+        "strict", "_schedule_strict", "[(-path[0][0], path[0][1]), path[0]] + path", 3, "Verification", "not a system"
+    ),
+}
+
+
+def _strict_moves(a, b):
+    try:
+        out = transform(a, b, mode="strict")
+    except ScheduleFailureError:
+        return 0
+    return len(getattr(out, "moves", ()))
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTED_PLANS))
+def test_corrupted_plan_is_caught_under_optimize(tmp_path, case):
+    mode, scheduler, corrupt, code, error, message = CORRUPTED_PLANS[case]
+    # the first near pair with a strict plan; its lifted path has a move too
+    a, b = next((a, b) for a, b in _near_pairs() if _strict_moves(a, b))
+    files = [tmp_path / "a.cyc", tmp_path / "b.cyc"]
+    for f, cs in zip(files, (a, b)):
+        f.write_text(cycles.format_cycle_system(cs))
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are live'\n"
+        "from tradekernel import cli, cycles\n"
+        f"schedule = cycles.{scheduler}\n"
+        "def corrupted(*args):\n"
+        "    path = schedule(*args)\n"
+        f"    return {corrupt}\n"
+        f"cycles.{scheduler} = corrupted\n"
+        f"sys.exit(cli.main(['cycles', 'transform', '--a', '{files[0]}', '--b', '{files[1]}', '--mode', '{mode}']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(tradekernel.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == code, out.stderr
+    payload = json.loads(out.stdout)["payload"]
+    assert payload["error"] == error
+    assert message in payload["message"]
 
 
 # The dict-keyed _best_first_schedule the multiset-keyed search replaced,
@@ -1063,3 +1170,8 @@ class TestFormats:
 
         with pytest.raises(FormatError):
             cycles.parse_cycle_collection("n=6\n1 0 2 3\n")
+        # canonical in form, but vertex -1 is outside 0..n-1
+        with pytest.raises(FormatError, match="not canonical for n=6"):
+            cycles.parse_cycle_collection("n=6\n-1 0 2 3\n")
+        with pytest.raises(ValueError, match="outside 0..5"):
+            CycleSystem(6, [FourCycle(-1, 0, 2, 3)])
