@@ -11,8 +11,9 @@ when the arguments are parsed where possible: --n, --mod, --jobs,
 --restarts, --lam-max, --budget and TRADE_KERNEL_BUDGET) and for
 requests above a size limit, refused before any work (OUTPUT_CAP,
 exactla.LATTICE_DIM_CAP), 3 when an
-internal exactness check fails (VerificationError). Exit codes 1 and 3
-print a report whose payload names the error.
+internal exactness check fails (VerificationError), 141 when the reader
+closes stdout before the report is written (as with `| head`). Exit
+codes 1 and 3 print a report whose payload names the error.
 """
 
 import argparse
@@ -44,6 +45,9 @@ from .errors import (
 # the most entries a request may build or print: matrix entries, cycles,
 # diamonds, basis cells; larger requests are refused before any work
 OUTPUT_CAP = 10**6
+
+# 128 + SIGPIPE, what `cat` exits with when its reader goes away
+EXIT_BROKEN_PIPE = 141
 
 _DOMAIN_ERRORS = (
     NotAdmissibleError,
@@ -214,11 +218,15 @@ def _prime(text: str) -> int:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=kernels.DEFAULT_SEED, help="seed for stochastic operations")
+
+
+def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=_order(1), default=None, help="node budget for searches")
-    p.add_argument("--mode", choices=["strict", "lifted", "virtual"], default="virtual")
-    p.add_argument("--jobs", type=_order(1), default=1, help="parallel restarts for stochastic searches")
+
+
+def _add_format(p: argparse.ArgumentParser) -> None:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="text", action="store_false", default=False)
     fmt.add_argument("--text", dest="text", action="store_true")
@@ -228,9 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tradekernel", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True)
 
+    # every subcommand takes --json/--text; --seed, --budget, --mode and --jobs only where they are read
     def sub(group, name, **kw):
         p = group.add_parser(name, **kw)
-        _add_common(p)
+        _add_format(p)
         return p
 
     lat = groups.add_parser("latin").add_subparsers(dest="sub", required=True)
@@ -276,10 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub(cyc, "find")
     p.add_argument("--n", type=_order(0), required=True)
     p.add_argument("--out", help="write the system file here")
+    _add_budget(p)
     p = sub(cyc, "diamond-free")
     p.add_argument("--n", type=_order(0), required=True)
     p.add_argument("--restarts", type=_order(1), default=500)
     p.add_argument("--out")
+    _add_seed(p)
+    _add_budget(p)
+    p.add_argument("--jobs", type=_order(1), default=1, help="parallel restarts for stochastic searches")
     p = sub(cyc, "count-diamonds")
     p.add_argument("--system", required=True, help="cycle collection file")
     p = sub(cyc, "transform")
@@ -287,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--lam-max", type=_order(1), default=6)
     p.add_argument("--plan-out")
+    p.add_argument("--mode", choices=["strict", "lifted", "virtual"], default="virtual")
+    _add_seed(p)
+    _add_budget(p)
     p = sub(cyc, "validate")
     tgt = p.add_mutually_exclusive_group(required=True)
     tgt.add_argument("--system")
@@ -639,6 +655,18 @@ _RUNNERS = {"latin": _run_latin, "cycles": _run_cycles, "linalg": _run_linalg}
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; EXIT_BROKEN_PIPE when the reader closes stdout first."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE recipe: whatever is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _main(argv) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)

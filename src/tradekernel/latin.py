@@ -4,10 +4,11 @@ A latin square of order n is stored as an n x n array over {0,...,n-1};
 a partial latin square as a set of (row, column, symbol) triples. Trades
 are pairs (P, Q) of partial squares with equal shape, cellwise
 disagreement, and matching row and column contents. Everything funnels
-through TripleVector, the integer vector of length n^3 indexed by
-index(i,j,k) = i*n^2 + j*n + k: squares are 0/1 vectors, trades are
-+1/-1 vectors, and intermediate states of a move sequence are arbitrary
-integer vectors with unit line sums.
+through TripleVector, the sparse map {index: nonzero entry} of an integer
+vector over the n^3 triples, index(i,j,k) = i*n^2 + j*n + k: squares are
+0/1 vectors, trades are +1/-1 vectors, and intermediate states of a move
+sequence are arbitrary integer vectors with unit line sums. One engine,
+_apply_moves, adds intercalates to such a map.
 
 The inclusion matrix M has 3n^2 rows (cell lines, row-symbol lines,
 column-symbol lines, in that block order) and n^3 columns; a signed
@@ -19,13 +20,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import FormatError, IdenticalSquaresError, KernelMembershipError, VerificationError
 from .exactla import SparseIntMatrix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def triple_index(n: int, i: int, j: int, k: int) -> int:
@@ -195,70 +193,67 @@ def validate_trade(
 class TripleVector:
     """Integer vector over ordered triples; the working state of every latin op.
 
-    Entries are an int64 array treated as immutable; all arithmetic
-    returns fresh vectors. Entry magnitudes stay far below int64 range in
-    every code path here (moves change entries by 1).
+    Only the nonzero entries are kept, as entries = {triple index: entry};
+    a zero is never stored. A square has n^2 nonzero entries of n^3, and
+    the difference of two squares at most 2n^2. Arithmetic returns fresh
+    vectors; only _apply_moves changes an entries map in place.
     """
 
     __slots__ = ("n", "entries")
 
-    def __init__(self, n: int, entries: Optional[np.ndarray] = None):
-        import numpy as np
-
+    def __init__(self, n: int, entries: Optional[Mapping[int, int]] = None):
         if n < 1:
             raise ValueError("order must be at least 1")
-        if entries is None:
-            entries = np.zeros(n**3, dtype=np.int64)
-        else:
-            entries = np.asarray(entries, dtype=np.int64).copy()
-            if entries.shape != (n**3,):
-                raise ValueError(f"expected length {n**3}, got {entries.shape}")
+        entries = entries or {}
+        dim = n**3
+        if entries and not (min(entries) >= 0 and max(entries) < dim):
+            bad = next(i for i in entries if not 0 <= i < dim)
+            raise ValueError(f"triple index {bad} is outside 0..{dim - 1}")
         self.n = n
-        self.entries = entries
+        self.entries = {i: x for i, x in entries.items() if x}
 
     @classmethod
     def from_square(cls, sq: LatinSquare) -> "TripleVector":
-        import numpy as np
-
         n = sq.n
-        v = np.zeros(n**3, dtype=np.int64)
-        # cell (i, j) is entry i*n + j of the raveled grid; its triple sits at (i*n + j)*n + k
-        v[np.arange(n * n) * n + np.array(sq.cells, dtype=np.int64).ravel()] = 1
-        return cls(n, v)
+        # cell (i, j) is i*n + j, and its triple (i*n + j)*n + k
+        return cls(n, {(i * n + j) * n + k: 1 for i, row in enumerate(sq.cells) for j, k in enumerate(row)})
 
     def __getitem__(self, ijk: tuple[int, int, int]) -> int:
-        return int(self.entries[triple_index(self.n, *ijk)])
+        return self.entries.get(triple_index(self.n, *ijk), 0)
 
-    def cube(self) -> np.ndarray:
-        return self.entries.reshape(self.n, self.n, self.n)
+    def line_sums(self) -> dict[int, int]:
+        """{row of M: line sum} over the support, zero sums left out.
 
-    def line_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(cell, row-symbol, column-symbol) line sum tables, each n x n."""
-        c = self.cube()
-        return c.sum(axis=2), c.sum(axis=1), c.sum(axis=0)
+        Triple index t = (i,j,k) lies on rows rc(i,j) = t // n,
+        rs(i,k) = n^2 + i*n + k and cs(j,k) = 2n^2 + t % n^2.
+        """
+        n, nn = self.n, self.n * self.n
+        sums: dict[int, int] = {}
+        for t, x in self.entries.items():
+            for r in (t // n, nn + t // nn * n + t % n, 2 * nn + t % nn):
+                sums[r] = sums.get(r, 0) + x
+        return {r: s for r, s in sums.items() if s}
 
     def improper_count(self) -> int:
         """Number of entries outside {0, 1}."""
-        import numpy as np
-
-        e = self.entries
-        return int(np.count_nonzero((e != 0) & (e != 1)))
+        return sum(x != 1 for x in self.entries.values())
 
     def is_zero(self) -> bool:
-        return not self.entries.any()
+        return not self.entries
 
     def support(self) -> list[tuple[int, int, int]]:
-        import numpy as np
-
-        return [triple_at(self.n, int(i)) for i in np.nonzero(self.entries)[0]]
+        return [triple_at(self.n, t) for t in sorted(self.entries)]
 
     def to_ints(self) -> list[int]:
-        return [int(x) for x in self.entries]
+        return [self.entries.get(t, 0) for t in range(self.n**3)]
 
     def add_scaled(self, other: "TripleVector", c: int) -> "TripleVector":
         if other.n != self.n:
             raise ValueError("orders differ")
-        return TripleVector(self.n, self.entries + c * other.entries)
+        acc = dict(self.entries)
+        for t, x in other.entries.items():
+            acc[t] = acc.get(t, 0) + c * x
+        return TripleVector(self.n, acc)
 
     def __add__(self, other: "TripleVector") -> "TripleVector":
         return self.add_scaled(other, 1)
@@ -267,21 +262,13 @@ class TripleVector:
         return self.add_scaled(other, -1)
 
     def __neg__(self) -> "TripleVector":
-        return TripleVector(self.n, -self.entries)
+        return TripleVector(self.n, {t: -x for t, x in self.entries.items()})
 
     def __eq__(self, other) -> bool:
-        import numpy as np
-
-        return (
-            isinstance(other, TripleVector)
-            and self.n == other.n
-            and np.array_equal(self.entries, other.entries)
-        )
+        return isinstance(other, TripleVector) and self.n == other.n and self.entries == other.entries
 
     def __repr__(self) -> str:
-        import numpy as np
-
-        return f"TripleVector(n={self.n}, nnz={int(np.count_nonzero(self.entries))})"
+        return f"TripleVector(n={self.n}, nnz={len(self.entries)})"
 
 
 def line_label(n: int, r: int) -> str:
@@ -323,34 +310,30 @@ def build_inclusion_matrix(n: int) -> InclusionMatrix:
     return InclusionMatrix(n, SparseIntMatrix(3 * nn, n**3, entries))
 
 
-def _first_violated_line(v: TripleVector) -> Optional[tuple[int, str, int]]:
-    """(row index, label, value) of the first nonzero line sum, or None."""
-    import numpy as np
-
-    n = v.n
-    for block, table in enumerate(v.line_sums()):
-        nz = np.argwhere(table != 0)
-        if nz.size:
-            u1, u2 = int(nz[0][0]), int(nz[0][1])
-            r = block * n * n + u1 * n + u2
-            return r, line_label(n, r), int(table[u1, u2])
-    return None
+def _first_violated_line(n: int, sums: Mapping[int, int]) -> Optional[tuple[int, str, int]]:
+    """(row index, label, value) of the lowest row in sums, a {row of M: nonzero line sum} map; None if it is empty."""
+    if not sums:
+        return None
+    r = min(sums)
+    return r, line_label(n, r), sums[r]
 
 
 def trade_vector(t: LatinTrade) -> TripleVector:
     """+1 on P, -1 on Q. Kernel membership (all line sums zero) is checked."""
-    import numpy as np
-
     n = t.n
-    triples = np.array([*t.p.triples, *t.q.triples], dtype=np.int64).reshape(-1, 3)
-    signs = np.repeat(np.array([1, -1], dtype=np.int64), [t.p.volume, t.q.volume])
-    v = np.zeros(n**3, dtype=np.int64)
-    np.add.at(v, triples @ np.array([n * n, n, 1], dtype=np.int64), signs)
-    out = TripleVector(n, v)
-    bad = _first_violated_line(out)
+    # a trade never holds one symbol in a cell on both sides, so P and Q share no triple
+    entries = {triple_index(n, *c): 1 for c in t.p.triples}
+    entries.update((triple_index(n, *c), -1) for c in t.q.triples)
+    out = TripleVector(n, entries)
+    bad = _first_violated_line(n, out.line_sums())
     if bad is not None:
         raise VerificationError(f"trade vector is not in the kernel: line {bad[1]} sums to {bad[2]}")
     return out
+
+
+def _check_anchor(i: int, j: int, k: int, n: int) -> None:
+    if not (1 <= i < n and 1 <= j < n and 1 <= k < n):
+        raise ValueError(f"need 1 <= i,j,k <= {n - 1}, got ({i},{j},{k})")
 
 
 def intercalate_cells(i: int, j: int, k: int, n: int) -> list[tuple[tuple[int, int, int], int]]:
@@ -361,8 +344,7 @@ def intercalate_cells(i: int, j: int, k: int, n: int) -> list[tuple[tuple[int, i
     meets it in one +1 and one -1 cell or not at all, so its line sums
     are zero. Cells come in lexicographic (a, b, c) order.
     """
-    if not (1 <= i < n and 1 <= j < n and 1 <= k < n):
-        raise ValueError(f"need 1 <= i,j,k <= {n - 1}, got ({i},{j},{k})")
+    _check_anchor(i, j, k, n)
     return [
         ((a, b, c), sa * sb * sc)
         for a, sa in ((0, 1), (i, -1))
@@ -376,37 +358,34 @@ def intercalate_cells(i: int, j: int, k: int, n: int) -> list[tuple[tuple[int, i
 _CORNER_SIGNS = tuple(intercalate_cells(1, 1, 1, 2))
 
 
-def _move_entries(moves: list[tuple[int, int, int, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices and entry changes of the moves (sign, i, j, k), one row of eight per move.
+def _apply_moves(n: int, state: dict[int, int], moves: Iterable[tuple[int, int, int, int]]) -> list[int]:
+    """Add m * B_ijk to the triple vector entries map state in place for each move (m, i, j, k);
+    the improper count (entries outside {0, 1}) after each move.
 
-    Row t lists move t's cells of B_ijk in intercalate_cells order: corner
-    ((a, b, c), s) of _CORNER_SIGNS is index a*i*n^2 + b*j*n + c*k, that is
-    {0, i*n^2} + {0, j*n} + {0, k}, and changes by sign * s.
+    The one code path that adds an intercalate's cells to a vector. Corner
+    ((a, b, c), s) of _CORNER_SIGNS is index a*i*n^2 + b*j*n + c*k and
+    changes by m * s; a zero is dropped as it arises, and only the eight
+    touched entries are recounted.
     """
-    import numpy as np
-
-    bits = np.array([b for b, _ in _CORNER_SIGNS], dtype=np.int64)
-    signs = np.array([s for _, s in _CORNER_SIGNS], dtype=np.int64)
-    mv = np.array(moves, dtype=np.int64).reshape(-1, 4)
-    return (mv[:, 1:] * np.array([n * n, n, 1], dtype=np.int64)) @ bits.T, mv[:, :1] * signs
-
-
-def _intercalate_sum(coeffs: np.ndarray) -> np.ndarray:
-    """The sum of c_ijk * B_ijk for an (n-1)^3 cube of coefficients, as an n x n x n cube.
-
-    Corner ((a, b, c), s) of every B_ijk lands at index 0 on each axis whose
-    bit is 0 and at i, j or k on the others, so its share is s times the
-    coefficients summed over the axes whose bit is 0.
-    As B_ijk = (e0 - e_i) x (e0 - e_j) x (e0 - e_k) is separable, this is
-    the map x -> (sum x, -x_1, ..., -x_{n-1}) applied along each axis: O(n^3).
-    """
-    import numpy as np
-
-    out = np.zeros(tuple(d + 1 for d in coeffs.shape), dtype=np.int64)
-    for bits, s in _CORNER_SIGNS:
-        share = coeffs.sum(axis=tuple(ax for ax, b in enumerate(bits) if not b), keepdims=True)
-        out[tuple(slice(1, None) if b else slice(0, 1) for b in bits)] += s * share
-    return out
+    nn = n * n
+    improper = sum(x not in (0, 1) for x in state.values())
+    counts = []
+    for m, i, j, k in moves:
+        i, j = i * nn, j * n
+        for (a, b, c), s in _CORNER_SIGNS:
+            t = a * i + b * j + c * k
+            old = state.get(t, 0)
+            new = old + m * s
+            if new:
+                state[t] = new
+                if new != 1:
+                    improper += 1
+            elif old:
+                del state[t]
+            if old and old != 1:
+                improper -= 1
+        counts.append(improper)
+    return counts
 
 
 def intercalate(i: int, j: int, k: int, n: int) -> LatinTrade:
@@ -419,12 +398,10 @@ def intercalate(i: int, j: int, k: int, n: int) -> LatinTrade:
 
 def intercalate_vector(i: int, j: int, k: int, n: int) -> TripleVector:
     """Vector of B_ijk: the tensor (e0 - e_i) x (e0 - e_j) x (e0 - e_k)."""
-    import numpy as np
-
-    v = np.zeros(n**3, dtype=np.int64)
-    for t, s in intercalate_cells(i, j, k, n):
-        v[triple_index(n, *t)] = s
-    return TripleVector(n, v)
+    _check_anchor(i, j, k, n)
+    entries: dict[int, int] = {}
+    _apply_moves(n, entries, [(1, i, j, k)])
+    return TripleVector(n, entries)
 
 
 def intercalate_basis(n: int) -> list[TripleVector]:
@@ -440,27 +417,30 @@ def intercalate_basis(n: int) -> list[TripleVector]:
 
 
 def decompose(v: TripleVector) -> dict[tuple[int, int, int], int]:
-    """Coefficients of v over the intercalate basis, as a nonzero-only map.
+    """Coefficients of v over the intercalate basis, as a nonzero-only map in lexicographic (i,j,k) order.
 
-    The basis is triangular on the block i,j,k >= 1: B_ijk is the only
-    member supported on (i,j,k) there, with entry -1, so c_ijk = -v[i,j,k].
-    The reconstruction is checked exactly before returning, which is what
-    makes the closed form trustworthy. B_ijk = (e0 - e_i) x (e0 - e_j) x
-    (e0 - e_k) is separable, so sum c_ijk B_ijk is the coefficient cube with
-    x -> (sum x, -x_1, ..., -x_{n-1}) applied along each axis (O(n^3)).
+    The kernel check comes first, over the support. The basis is
+    triangular on the block i,j,k >= 1: B_ijk is the only member supported
+    on (i,j,k) there, with entry -1, so c_ijk = -v[i,j,k]. The
+    reconstruction is checked exactly before returning, which is what
+    makes the closed form trustworthy: _apply_moves adds every c_ijk B_ijk
+    to an empty map, which must end equal to v. All of it is O(nnz).
     """
-    import numpy as np
-
-    bad = _first_violated_line(v)
+    n = v.n
+    bad = _first_violated_line(n, v.line_sums())
     if bad is not None:
         raise KernelMembershipError(*bad)
-    coeffs = -v.cube()[1:, 1:, 1:]
-    if not np.array_equal(_intercalate_sum(coeffs).ravel(), v.entries):
+    coeffs = {}
+    # ascending triple index is lexicographic (i,j,k)
+    for t in sorted(v.entries):
+        i, j, k = triple_at(n, t)
+        if i and j and k:
+            coeffs[(i, j, k)] = -v.entries[t]
+    rebuilt: dict[int, int] = {}
+    _apply_moves(n, rebuilt, [(c, i, j, k) for (i, j, k), c in coeffs.items()])
+    if rebuilt != v.entries:
         raise VerificationError("intercalate coefficients do not reconstruct the vector")
-    # nonzero lists the entries in C order, which is lexicographic (i,j,k)
-    nz = np.nonzero(coeffs)
-    ijk = (np.stack(nz, axis=1) + 1).tolist()
-    return {(i, j, k): c for (i, j, k), c in zip(ijk, coeffs[nz].tolist())}
+    return coeffs
 
 
 def difference_trade(l1: LatinSquare, l2: LatinSquare) -> LatinTrade:
@@ -484,44 +464,14 @@ def apply_move(state: TripleVector, i: int, j: int, k: int, sign: int) -> Triple
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    for table in state.line_sums():
-        if not (table == 1).all():
-            raise ValueError("malformed state: some line sum differs from 1")
     n = state.n
-    out = TripleVector(n, state.entries)
-    for t, s in intercalate_cells(i, j, k, n):
-        out.entries[triple_index(n, *t)] += sign * s
-    return out
-
-
-def _replay(
-    start: np.ndarray, offsets: np.ndarray, changes: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """The state after a run of moves and the improper count after each move.
-
-    offsets and changes are _move_entries' rows, one move each. The final
-    state adds every change at its entry. For the counts, each entry's
-    changes are taken in move order (a stable sort by entry), so a running
-    sum within each entry's run is the entry's value after that change;
-    a change that leaves {0, 1} adds one improper cell, one that returns
-    removes one. Every row touches eight distinct entries.
-    """
-    import numpy as np
-
-    x, d = offsets.ravel(), changes.ravel()
-    state = start.copy()
-    np.add.at(state, x, d)
-    order = np.argsort(x, kind="stable")
-    xs, ds = x[order], d[order]
-    run = np.cumsum(ds)
-    first = np.r_[True, xs[1:] != xs[:-1]]
-    # the running sum before each entry's first change, spread over its run
-    before = (run - ds)[first][np.cumsum(first) - 1]
-    new = start[xs] + run - before
-    old = new - ds
-    flips = np.empty_like(d)
-    flips[order] = ((new != 0) & (new != 1)).astype(np.int64) - ((old != 0) & (old != 1))
-    return state, np.cumsum(flips.reshape(offsets.shape).sum(axis=1)).tolist()
+    sums = state.line_sums()
+    if len(sums) != 3 * n * n or any(s != 1 for s in sums.values()):
+        raise ValueError("malformed state: some line sum differs from 1")
+    _check_anchor(i, j, k, n)
+    entries = dict(state.entries)
+    _apply_moves(n, entries, [(sign, i, j, k)])
+    return TripleVector(n, entries)
 
 
 @dataclass(frozen=True)
@@ -541,37 +491,70 @@ class MovePlan:
         return max(self.improper_counts, default=0)
 
 
+def _difference_moves(l1: LatinSquare, l2: LatinSquare) -> tuple[dict[int, int], list[tuple[int, int, int, int]]]:
+    """The nonzero line sums of v = vec(l1) - vec(l2), and the moves (sign, i, j, k) of decompose(v).
+
+    One pass over the cells where the squares differ. Cell (i, j) with
+    symbols a != b holds v = +1 at (i, j, a) and -1 at (i, j, b): its cell
+    line sums to zero, rs(i,a) and cs(j,a) gain 1, rs(i,b) and cs(j,b)
+    lose 1. decompose(v) has c_ijk = -v[i,j,k] on i,j,k >= 1, and c turns
+    into |c| moves of sign -sgn(c): for i, j >= 1, a +1 move at (i, j, a)
+    when a >= 1 and a -1 move at (i, j, b) when b >= 1. Positive moves run
+    first, each group in lexicographic (i,j,k) order, which is cell order
+    as a cell holds one symbol on each side.
+    """
+    n, nn = l1.n, l1.n * l1.n
+    sums = [0] * (3 * nn)
+    plus, minus = [], []
+    for i, (row1, row2) in enumerate(zip(l1.cells, l2.cells)):
+        rs = nn + i * n
+        for j, (a, b) in enumerate(zip(row1, row2)):
+            if a != b:
+                cs = 2 * nn + j * n
+                sums[rs + a] += 1
+                sums[cs + a] += 1
+                sums[rs + b] -= 1
+                sums[cs + b] -= 1
+                if i and j:
+                    if a:
+                        plus.append((1, i, j, a))
+                    if b:
+                        minus.append((-1, i, j, b))
+    return ({r: s for r, s in enumerate(sums) if s} if any(sums) else {}), plus + minus
+
+
 def transform(l1: LatinSquare, l2: LatinSquare) -> MovePlan:
     """A move plan taking l1 to l2, replay-verified before returning.
 
-    Coefficients come from decompose(vec(l1) - vec(l2)); a coefficient c
-    on B_ijk turns into |c| moves of sign -sgn(c). Positive-sign moves
-    run first, each group in lexicographic (i,j,k) order.
+    The plan is what decompose(vec(l1) - vec(l2)) gives: a coefficient c
+    on B_ijk turns into |c| moves of sign -sgn(c). Positive-sign moves run
+    first, each group in lexicographic (i,j,k) order. _difference_moves
+    reads the kernel check's line sums and the moves off the differing
+    cells, so no n^3 object is built. The plan is replayed once from
+    vec(l1) and ends at vec(l1) - sum c_ijk B_ijk; the check that this is
+    exactly vec(l2) proves sum c_ijk B_ijk = vec(l1) - vec(l2), the
+    identity decompose's reconstruction proves, so transform does not
+    compute that sum a second time. The last improper count must be 0.
     """
-    import numpy as np
-
     if l1.n != l2.n:
         raise ValueError("orders differ")
-    start = TripleVector.from_square(l1)
-    goal = TripleVector.from_square(l2)
-    if start == goal:
-        return MovePlan(l1.n, (), ())
-    coeffs = decompose(start - goal)
-    # sign +1 (c < 0) first, then sign -1, each in lexicographic (i,j,k) order
-    moves = [
-        (-1 if c > 0 else 1, i, j, k)
-        for (i, j, k), c in sorted(coeffs.items(), key=lambda item: (item[1] > 0, item[0]))
-        for _ in range(abs(c))
-    ]
+    n = l1.n
+    if l1 == l2:
+        return MovePlan(n, (), ())
+    sums, moves = _difference_moves(l1, l2)
+    bad = _first_violated_line(n, sums)
+    if bad is not None:
+        raise KernelMembershipError(*bad)
     # The start is a latin square (unit line sums) and every B_ijk has zero
     # line sums, so no move can change a line sum: only the eight touched
     # entries and the improper count move.
-    state, counts = _replay(start.entries, *_move_entries(moves, l1.n))
-    if not np.array_equal(state, goal.entries):
+    state = TripleVector.from_square(l1).entries
+    counts = _apply_moves(n, state, moves)
+    if state != TripleVector.from_square(l2).entries:
         raise VerificationError("replaying the move plan does not reach the goal square")
     if counts[-1] != 0:
         raise VerificationError(f"the replay reaches the goal square with {counts[-1]} improper cells counted")
-    return MovePlan(l1.n, tuple(moves), tuple(counts))
+    return MovePlan(n, tuple(moves), tuple(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,11 @@ def run_process(argv):
         ["cycles", "transform", "--a", "a.cyc", "--b", "b.cyc", "--budget", "-5"],
         ["TRADE_KERNEL_BUDGET=0", "cycles", "find", "--n", "9"],
         ["TRADE_KERNEL_BUDGET=-3", "cycles", "diamond-free", "--n", "9"],
+        # an option the command does not read is not accepted
+        ["latin", "transform", "--a", "a.sq", "--b", "b.sq", "--seed", "9"],
+        ["latin", "rank", "--n", "3", "--budget", "3"],
+        ["cycles", "find", "--n", "9", "--mode", "lifted"],
+        ["cycles", "transform", "--a", "a.cyc", "--b", "b.cyc", "--jobs", "2"],
     ],
 )
 def test_order_below_minimum_is_usage_error(argv):
@@ -265,8 +270,28 @@ def test_order_below_minimum_is_usage_error(argv):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("usage: tradekernel")
-    bad = argv[0].partition("=")[0] if "=" in argv[0] else f"argument {argv[-2]}: "
-    assert bad in out.stderr.splitlines()[-1]
+    last = out.stderr.splitlines()[-1]
+    if "=" in argv[0]:
+        assert argv[0].partition("=")[0] in last
+    else:
+        assert f"argument {argv[-2]}: " in last or last.endswith(f"unrecognized arguments: {argv[-2]} {argv[-1]}")
+
+
+def test_closed_stdout_is_a_quiet_broken_pipe_exit():
+    # the reader goes away after the first read, as `| head -c 10` does; the report is far
+    # longer than a pipe holds, so the writer meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tradekernel.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tradekernel.cli", "cycles", "diamonds", "--n", "9", "--list"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = os.read(proc.stdout.fileno(), 10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert first.startswith(b"{")
+    assert err == ""
 
 
 @pytest.mark.parametrize("n", ["0", "4", "5"])
@@ -292,8 +317,8 @@ def test_pool_size_is_clamped_to_cpus():
 
 
 def test_verification_failure_is_exit_3_under_optimize(tmp_path):
-    # a corrupted coefficient makes the replay miss the goal; under -O the
-    # check must still fire and the CLI must report it with exit code 3
+    # a corrupted plan (its first move made twice) makes the replay miss the
+    # goal; under -O the check must still fire and the CLI must report it with exit code 3
     files = []
     for t, shift in enumerate((1, 2)):
         sq = latin.LatinSquare([[(i * shift + j) % 5 for j in range(5)] for i in range(5)])
@@ -303,12 +328,11 @@ def test_verification_failure_is_exit_3_under_optimize(tmp_path):
         "import sys\n"
         "assert False, 'asserts are live'\n"
         "from tradekernel import cli, latin\n"
-        "decompose = latin.decompose\n"
-        "def corrupt(v):\n"
-        "    coeffs = decompose(v)\n"
-        "    coeffs[min(coeffs)] += 1\n"
-        "    return coeffs\n"
-        "latin.decompose = corrupt\n"
+        "difference_moves = latin._difference_moves\n"
+        "def corrupt(l1, l2):\n"
+        "    sums, moves = difference_moves(l1, l2)\n"
+        "    return sums, [moves[0], *moves]\n"
+        "latin._difference_moves = corrupt\n"
         f"sys.exit(cli.main(['latin', 'transform', '--a', '{files[0]}', '--b', '{files[1]}']))\n"
     )
     src = os.path.dirname(os.path.dirname(tradekernel.__file__))
@@ -807,9 +831,19 @@ def _group_modules(argv):
     return sorted(_CORE_MODULES + (_GROUP_MODULES[argv[0]] if argv else []))
 
 
-# commands that build no TripleVector
+# every subcommand, and the bare import
 _NUMPY_FREE = {
     "import": [],
+    "latin-matrix": ["latin", "matrix", "--n", "3"],
+    "latin-basis": ["latin", "basis", "--n", "4", "--out", "{d}/lb.txt"],
+    "latin-decompose": ["latin", "decompose", "--trade", f"{DATA}/example4.trade"],
+    "latin-transform": ["latin", "transform", "--a", "{d}/a.sq", "--b", "{d}/b.sq", "--plan-out", "{d}/p.txt"],
+    "latin-validate": ["latin", "validate", "--square", "{d}/a.sq"],
+    "cycles-matrix": ["cycles", "matrix", "--n", "5"],
+    "cycles-rank": ["cycles", "rank", "--n", "6"],
+    "count-diamonds-9": ["cycles", "count-diamonds", "--system", "{d}/a.cyc"],
+    "cycles-validate": ["cycles", "validate", "--pair", "{d}/t.tp"],
+    "linalg-rank": ["linalg", "rank", "--matrix", "{m}"],
     "latin-rank": ["latin", "rank", "--n", "6"],
     "linalg-kernel": ["linalg", "kernel", "--matrix", "{m}"],
     "lattice-eq": ["linalg", "lattice-eq", "--a", "{m}", "--b", "{m}"],
@@ -824,17 +858,75 @@ _NUMPY_FREE = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_NUMPY_FREE))
-def test_command_loads_neither_numpy_nor_process_pools(tmp_path, case):
-    m = _file(tmp_path / "m.txt", "dims 3 4\n0 0 1\n0 1 2\n1 2 -1\n2 3 3\n")
+def _command_files(d):
+    """The input files of _NUMPY_FREE and _WITHOUT_NUMPY, written to directory d; the matrix file's path."""
+    m = _file(d / "m.txt", "dims 3 4\n0 0 1\n0 1 2\n1 2 -1\n2 3 3\n")
     cs = cycles.find_cycle_system(9)
     cs2 = _one_move_away(cs)
-    _file(tmp_path / "a.cyc", cycles.format_cycle_system(cs))
-    _file(tmp_path / "b.cyc", cycles.format_cycle_system(cs2))
+    _file(d / "a.cyc", cycles.format_cycle_system(cs))
+    _file(d / "b.cyc", cycles.format_cycle_system(cs2))
     tp = cycles.CycleTradePair(9, set(cs.cycles) - set(cs2.cycles), set(cs2.cycles) - set(cs.cycles))
-    _file(tmp_path / "t.tp", cycles.format_trade_pair_file(tp))
+    _file(d / "t.tp", cycles.format_trade_pair_file(tp))
+    _file(d / "a.sq", _square(5))
+    _file(d / "b.sq", latin.format_square(latin.LatinSquare([[(2 * i + j) % 5 for j in range(5)] for i in range(5)])))
+    _file(d / "bad.sq", "n=2\n0 1\n0 1\n")
+    return m
+
+
+@pytest.mark.parametrize("case", sorted(_NUMPY_FREE))
+def test_command_loads_neither_numpy_nor_process_pools(tmp_path, case):
+    m = _command_files(tmp_path)
     argv = [a.format(m=m, d=tmp_path) for a in _NUMPY_FREE[case]]
     assert _loaded(argv) == [0, [], _group_modules(argv)]
+
+
+# one call of each of the 20 subcommands, and its exit code with numpy installed
+_WITHOUT_NUMPY = [
+    (["latin", "matrix", "--n", "3"], 0),
+    (["latin", "rank", "--n", "4", "--mod", "7"], 0),
+    (["latin", "basis", "--n", "3"], 0),
+    (["latin", "decompose", "--trade", f"{DATA}/example4.trade"], 0),
+    (["latin", "transform", "--a", "{d}/a.sq", "--b", "{d}/b.sq"], 0),
+    (["latin", "validate", "--square", "{d}/bad.sq"], 1),
+    (["cycles", "matrix", "--n", "5"], 0),
+    (["cycles", "rank", "--n", "6"], 0),
+    (["cycles", "diamonds", "--n", "7", "--list"], 0),
+    (["cycles", "span", "--n", "5"], 1),
+    (["cycles", "basis", "--n", "6"], 0),
+    (["cycles", "decompose", "--a", "{d}/a.cyc", "--b", "{d}/b.cyc"], 0),
+    (["cycles", "find", "--n", "10"], 1),
+    (["cycles", "diamond-free", "--n", "9", "--seed", "1"], 0),
+    (["cycles", "count-diamonds", "--system", "{d}/a.cyc"], 0),
+    (["cycles", "transform", "--a", "{d}/a.cyc", "--b", "{d}/b.cyc", "--mode", "strict"], 1),
+    (["cycles", "validate", "--pair", "{d}/t.tp"], 0),
+    (["linalg", "rank", "--matrix", "{m}"], 0),
+    (["linalg", "kernel", "--matrix", "{m}"], 0),
+    (["linalg", "lattice-eq", "--a", "{m}", "--b", "{m}"], 0),
+]
+
+_NO_NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from tradekernel import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_every_subcommand_runs_without_numpy(tmp_path):
+    m = _command_files(tmp_path)
+    assert len({tuple(argv[:2]) for argv, _ in _WITHOUT_NUMPY}) == 20
+    argvs = [[a.format(m=m, d=tmp_path) for a in argv] for argv, _ in _WITHOUT_NUMPY]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tradekernel.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [code for _, code in _WITHOUT_NUMPY]
 
 
 # one call of every latin and linalg subcommand, and the cycles commands that read files

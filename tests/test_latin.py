@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,9 +133,9 @@ class TestInclusionMatrix:
             im = build_inclusion_matrix(n)
             m = im.matrix
             assert (m.n_rows, m.n_cols) == (3 * n * n, n**3)
-            dense = np.array(m.to_dense())
-            assert (dense.sum(axis=0) == 3).all()  # each triple hits 3 lines
-            assert (dense.sum(axis=1) == n).all()  # each line holds n triples
+            dense = m.to_dense()
+            assert all(sum(col) == 3 for col in zip(*dense))  # each triple hits 3 lines
+            assert all(sum(row) == n for row in dense)  # each line holds n triples
 
     def test_rank_and_nullity_small(self):
         # nullity (n-1)^3: 1, 8, 27
@@ -150,8 +152,7 @@ class TestInclusionMatrix:
 
     def test_square_vector_line_sums_all_one(self):
         v = TripleVector.from_square(cyclic(4))
-        for table in v.line_sums():
-            assert (table == 1).all()
+        assert v.line_sums() == {r: 1 for r in range(3 * 16)}
 
     def test_trade_vector_in_kernel(self):
         t = latin.intercalate(2, 1, 3, 4)
@@ -160,11 +161,26 @@ class TestInclusionMatrix:
         assert m.matvec(v.to_ints()) == [0] * m.n_rows
 
     def test_non_kernel_vector_rejected(self):
-        arr = np.zeros(27, dtype=np.int64)
-        arr[0] = 1
-        v = TripleVector(3, arr)
-        with pytest.raises(KernelMembershipError):
+        v = TripleVector(3, {0: 1})
+        with pytest.raises(KernelMembershipError) as e:
             decompose(v)
+        assert (e.value.row, e.value.label, e.value.value) == (0, "rc(0,0)", 1)
+        # the lowest violated row: triple (1,2,2) lies on rc(1,2), rs(1,2) and cs(2,2)
+        with pytest.raises(KernelMembershipError) as e:
+            decompose(TripleVector(3, {triple_index(3, 1, 2, 2): -2}))
+        assert (e.value.row, e.value.label, e.value.value) == (5, "rc(1,2)", -2)
+        assert TripleVector(3, {triple_index(3, 1, 2, 2): -2}).line_sums() == {5: -2, 9 + 5: -2, 18 + 8: -2}
+
+    @pytest.mark.parametrize("t", [-1, 27, 10**9])
+    def test_index_outside_the_triples_rejected(self, t):
+        with pytest.raises(ValueError, match="outside 0..26"):
+            TripleVector(3, {0: 1, t: 1})
+
+    def test_zero_entries_are_not_stored(self):
+        v = TripleVector(2, {3: 0, 5: 2})
+        assert v.entries == {5: 2}
+        assert (v - v).entries == {} and (v - v).is_zero()
+        assert v.add_scaled(TripleVector(2, {5: 1}), -2).is_zero()
 
 
 class TestIntercalateBasis:
@@ -216,11 +232,8 @@ class TestIntercalateCells:
                 for k in range(1, n):
                     cells = intercalate_cells(i, j, k, n)
                     assert len({t for t, _ in cells}) == 8
-                    v = TripleVector(n)
-                    for t, s in cells:
-                        v.entries[triple_index(n, *t)] = s
-                    for table in v.line_sums():
-                        assert not table.any()
+                    v = TripleVector(n, {triple_index(n, *t): s for t, s in cells})
+                    assert v.line_sums() == {}
                     assert v == intercalate_vector(i, j, k, n)
                     t = latin.intercalate(i, j, k, n)
                     assert t.p.triples == {c for c, s in cells if s == 1}
@@ -233,65 +246,117 @@ class TestIntercalateCells:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_move_entries_are_the_cells(self, n):
-        # the replay's flat offsets and signs, against intercalate_cells
-        moves = [(sign, i, j, k) for sign in (1, -1) for i in range(1, n) for j in range(1, n) for k in range(1, n)]
-        offsets, changes = latin._move_entries(moves, n)
-        assert offsets.shape == changes.shape == (len(moves), 8)
-        for (sign, i, j, k), xs, ds in zip(moves, offsets.tolist(), changes.tolist()):
-            assert list(zip(xs, ds)) == [(triple_index(n, *t), sign * s) for t, s in intercalate_cells(i, j, k, n)]
+        # the engine's eight flat indices and changes for one move on an empty map, in
+        # intercalate_cells order, against intercalate_cells; four of the eight are -1
+        for sign in (1, -1):
+            for i in range(1, n):
+                for j in range(1, n):
+                    for k in range(1, n):
+                        state = {}
+                        assert latin._apply_moves(n, state, [(sign, i, j, k)]) == [4]
+                        cells = [(triple_index(n, *t), sign * s) for t, s in intercalate_cells(i, j, k, n)]
+                        assert list(state.items()) == cells
+
+
+def _dense_intercalate(i, j, k, n):
+    """B_ijk as a dense list, from its definition (e0 - e_i) x (e0 - e_j) x (e0 - e_k)."""
+    def axis(x):
+        return [1 if a == 0 else -1 if a == x else 0 for a in range(n)]
+
+    u, v, w = axis(i), axis(j), axis(k)
+    return [u[a] * v[b] * w[c] for a in range(n) for b in range(n) for c in range(n)]
 
 
 def _cell_by_cell_sum(coeffs, n):
     """sum of c_ijk B_ijk, scattered cell by cell from intercalate_cells."""
     out = [0] * n**3
-    for i in range(1, n):
-        for j in range(1, n):
-            for k in range(1, n):
-                for t, s in intercalate_cells(i, j, k, n):
-                    out[triple_index(n, *t)] += int(coeffs[i - 1, j - 1, k - 1]) * s
+    for (i, j, k), c in coeffs.items():
+        for t, s in intercalate_cells(i, j, k, n):
+            out[triple_index(n, *t)] += c * s
     return out
+
+
+def _dense_line_sums(dense, n):
+    """{row of M: nonzero line sum} of a dense vector, row by row."""
+    rows = [0] * (3 * n * n)
+    for t, x in enumerate(dense):
+        i, j, k = triple_at(n, t)
+        rows[i * n + j] += x
+        rows[n * n + i * n + k] += x
+        rows[2 * n * n + j * n + k] += x
+    return {r: s for r, s in enumerate(rows) if s}
+
+
+def _improper(dense):
+    return sum(x not in (0, 1) for x in dense)
 
 
 class TestClosedForm:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.data())
     def test_intercalate_sum_matches_cell_by_cell(self, n, data):
+        # the engine runs every coefficient from an empty map, as decompose's reconstruction does
         values = data.draw(st.lists(st.integers(-5, 5), min_size=(n - 1) ** 3, max_size=(n - 1) ** 3))
-        coeffs = np.array(values, dtype=np.int64).reshape((n - 1,) * 3)
-        got = latin._intercalate_sum(coeffs)
-        assert got.shape == (n, n, n)
-        assert got.ravel().tolist() == _cell_by_cell_sum(coeffs, n)
+        coeffs = {tuple(x + 1 for x in triple_at(n - 1, t)): c for t, c in enumerate(values)}
+        state = {}
+        latin._apply_moves(n, state, [(c, i, j, k) for (i, j, k), c in coeffs.items()])
+        assert 0 not in state.values()
+        assert TripleVector(n, state).to_ints() == _cell_by_cell_sum(coeffs, n)
 
     def test_decompose_refuses_a_wrong_reconstruction(self, monkeypatch):
         rng = random.Random(11)
         v = TripleVector.from_square(random_square(5, rng)) - TripleVector.from_square(random_square(5, rng))
         assert decompose(v)
-        good = latin._intercalate_sum
+        good = latin._apply_moves
 
-        def off_by_one(coeffs):
-            out = good(coeffs)
-            out[0, 0, 0] += 1
-            return out
+        def off_by_one(n, state, moves):
+            counts = good(n, state, moves)
+            state[0] = state.get(0, 0) + 1
+            return counts
 
-        monkeypatch.setattr(latin, "_intercalate_sum", off_by_one)
-        with pytest.raises(VerificationError):
+        monkeypatch.setattr(latin, "_apply_moves", off_by_one)
+        with pytest.raises(VerificationError, match="do not reconstruct"):
             decompose(v)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=2, max_value=6), st.data())
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), st.data())
     def test_replay_matches_move_by_move(self, n, data):
-        # any run of moves from a square, against apply_move and improper_count after each move
-        square = random_square(n, random.Random(data.draw(st.integers(0, 10**6))))
-        move = st.tuples(st.sampled_from((1, -1)), *[st.integers(1, n - 1)] * 3)
-        moves = data.draw(st.lists(move, min_size=1, max_size=30))
-        state = TripleVector.from_square(square)
+        # any run of moves (m, i, j, k) from any integer vector, against a dense list
+        # that adds m * B_ijk move by move and recounts every entry after each move
+        dense = data.draw(st.lists(st.integers(-2, 2), min_size=n**3, max_size=n**3))
+        anchor = st.integers(1, n - 1) if n > 1 else st.nothing()
+        move = st.tuples(st.integers(-3, 3), anchor, anchor, anchor)
+        moves = data.draw(st.lists(move, max_size=30 if n > 1 else 0))
+        state = TripleVector(n, dict(enumerate(dense))).entries
         want = []
-        for sign, i, j, k in moves:
-            state = apply_move(state, i, j, k, sign)
-            want.append(state.improper_count())
-        final, counts = latin._replay(TripleVector.from_square(square).entries, *latin._move_entries(moves, n))
-        assert counts == want
-        assert final.tolist() == state.to_ints()
+        for m, i, j, k in moves:
+            dense = [x + m * b for x, b in zip(dense, _dense_intercalate(i, j, k, n))]
+            want.append(_improper(dense))
+        assert latin._apply_moves(n, state, moves) == want
+        assert 0 not in state.values()
+        assert TripleVector(n, state).to_ints() == dense
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), st.data())
+    def test_triple_vector_matches_a_dense_list(self, n, data):
+        entries = st.lists(st.integers(-3, 3), min_size=n**3, max_size=n**3)
+        x, y = data.draw(entries), data.draw(entries)
+        c = data.draw(st.integers(-3, 3))
+        u, v = TripleVector(n, dict(enumerate(x))), TripleVector(n, dict(enumerate(y)))
+        assert u.to_ints() == x
+        assert u.support() == [triple_at(n, t) for t, e in enumerate(x) if e]
+        assert [u[triple_at(n, t)] for t in range(n**3)] == x
+        assert u.is_zero() == (not any(x))
+        assert u.improper_count() == _improper(x)
+        assert u.line_sums() == _dense_line_sums(x, n)
+        assert u.add_scaled(v, c).to_ints() == [a + c * b for a, b in zip(x, y)]
+        assert (u + v).to_ints() == [a + b for a, b in zip(x, y)]
+        assert (u - v).to_ints() == [a - b for a, b in zip(x, y)]
+        assert (-u).to_ints() == [-a for a in x]
+        assert (u == v) == (x == y)
+        assert repr(u) == f"TripleVector(n={n}, nnz={sum(map(bool, x))})"
+        for w in (u, u - v, -u):
+            assert 0 not in w.entries.values()
 
     def test_square_and_trade_vectors_match_cell_by_cell(self):
         rng = random.Random(12)
@@ -360,21 +425,121 @@ def test_latin_paths_never_build_the_inclusion_matrix():
 
 
 def test_transform_checks_line_sums_once(monkeypatch):
-    # only decompose's kernel check reads line sums; no move can change one
-    calls = []
-    line_sums = TripleVector.line_sums
-    monkeypatch.setattr(TripleVector, "line_sums", lambda v: calls.append(v) or line_sums(v))
+    # one kernel check on the line sums of the differing cells and one replay; no move can change a line sum
+    calls = {"line_sums": 0, "_first_violated_line": 0, "_apply_moves": 0, "decompose": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(TripleVector, "line_sums", counted("line_sums", TripleVector.line_sums))
+    for name in ("_first_violated_line", "_apply_moves", "decompose"):
+        monkeypatch.setattr(latin, name, counted(name, getattr(latin, name)))
     plan = transform(*golden_pairs(8)[0])
     assert len(plan.moves) > 1
-    assert len(calls) == 1
+    assert calls == {"line_sums": 0, "_first_violated_line": 1, "_apply_moves": 1, "decompose": 0}
+
+
+def test_transform_line_sums_are_the_difference_vectors():
+    # the one pass over the differing cells gives vec(l1) - vec(l2)'s line sums and decompose's moves
+    rng = random.Random(21)
+    for n in (2, 3, 5, 8):
+        for _ in range(5):
+            a, b = random_square(n, rng), random_square(n, rng)
+            sums, moves = latin._difference_moves(a, b)
+            v = TripleVector.from_square(a) - TripleVector.from_square(b)
+            assert sums == v.line_sums() == {}
+            if a != b:
+                coeffs = decompose(v)
+                assert sorted(moves, key=lambda m: (-m[0], m[1:])) == moves
+                assert sorted((-s, i, j, k) for s, i, j, k in moves) == sorted((c, *ijk) for ijk, c in coeffs.items())
+    # a non-square on one side: the first violated row is decompose's
+    a = random_square(4, rng)
+    b = LatinSquare.__new__(LatinSquare)
+    b.n, b.cells = 4, (a.cells[0], a.cells[0], a.cells[2], a.cells[3])
+    sums, _ = latin._difference_moves(a, b)
+    with pytest.raises(KernelMembershipError) as want:
+        decompose(TripleVector.from_square(a) - TripleVector.from_square(b))
+    with pytest.raises(KernelMembershipError) as got:
+        transform(a, b)
+    assert sums and (got.value.row, got.value.label, got.value.value) == (want.value.row, want.value.label, want.value.value)
+
+
+# corruptions that the exactness checks must catch: (patched function, corruption, argv, message)
+CORRUPTIONS = {
+    "decompose-off-by-one-engine": (
+        "_apply_moves",
+        "def corrupted(n, state, moves):\n    counts = original(n, state, moves)\n    state[0] = state.get(0, 0) + 1\n    return counts\n",
+        ["latin", "decompose", "--trade", "{trade}"],
+        "do not reconstruct the vector",
+    ),
+    "transform-move-dropped": (
+        "_difference_moves",
+        "def corrupted(l1, l2):\n    sums, moves = original(l1, l2)\n    return sums, moves[:-1]\n",
+        ["latin", "transform", "--a", "{a}", "--b", "{b}"],
+        "does not reach the goal square",
+    ),
+    "transform-symbol-changed": (
+        "_difference_moves",
+        "def corrupted(l1, l2):\n    sums, moves = original(l1, l2)\n    s, i, j, k = moves[0]\n"
+        "    return sums, [(s, i, j, k % (l1.n - 1) + 1), *moves[1:]]\n",
+        ["latin", "transform", "--a", "{a}", "--b", "{b}"],
+        "does not reach the goal square",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupted_engine_or_plan_is_caught_under_optimize(tmp_path, monkeypatch, case):
+    name, corruption, argv, message = CORRUPTIONS[case]
+    a, b = golden_pairs(6)[0]
+    files = {"a": tmp_path / "a.sq", "b": tmp_path / "b.sq", "trade": tmp_path / "t.trade"}
+    files["a"].write_text(format_square(a))
+    files["b"].write_text(format_square(b))
+    files["trade"].write_text(format_trade(difference_trade(a, b)))
+    argv = [x.format(**files) for x in argv]
+    # in process
+    scope = {"original": getattr(latin, name)}
+    exec(corruption, scope)
+    with monkeypatch.context() as patched:
+        patched.setattr(latin, name, scope["corrupted"])
+        with pytest.raises(VerificationError, match=message):
+            if argv[1] == "decompose":
+                decompose(trade_vector(difference_trade(a, b)))
+            else:
+                transform(a, b)
+    # and in a python -O child, where asserts are stripped, through the CLI
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are live'\n"
+        "from tradekernel import cli, latin\n"
+        f"original = latin.{name}\n"
+        f"{corruption}"
+        f"latin.{name} = corrupted\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(latin.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 3, out.stderr
+    payload = json.loads(out.stdout)["payload"]
+    assert payload["error"] == "Verification"
+    assert message in payload["message"]
 
 
 class TestMoves:
     def test_apply_move_keeps_line_sums(self):
         state = TripleVector.from_square(cyclic(3))
         out = apply_move(state, 1, 1, 1, +1)
-        for table in out.line_sums():
-            assert (table == 1).all()
+        assert out.line_sums() == {r: 1 for r in range(27)}
         assert out.improper_count() > 0
         assert state == TripleVector.from_square(cyclic(3))
 
