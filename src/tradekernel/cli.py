@@ -8,7 +8,7 @@ strings so exactness survives JSON. Exit codes: 0 success, 1 for
 domain-negative outcomes (not admissible, not in span, search failure,
 invalid object under validate), 2 for usage or format errors (checked
 when the arguments are parsed where possible: --n, --mod, --jobs,
---restarts, --lam-max, --budget and TRADE_KERNEL_BUDGET) and for
+--restarts, --lam-max and --budget) and for
 requests above a size limit, refused before any work (OUTPUT_CAP,
 exactla.LATTICE_DIM_CAP), 3 when an
 internal exactness check fails (VerificationError), 141 when the reader
@@ -338,9 +338,9 @@ def _run_latin(args):
     from . import latin
 
     if args.sub == "matrix":
-        return _matrix_report(args, latin.build_inclusion_matrix(args.n).matrix)
+        return _matrix_report(args, latin.build_inclusion_matrix(args.n))
     if args.sub == "rank":
-        return _rank_report(args, latin.build_inclusion_matrix(args.n).matrix, {"n": args.n})
+        return _rank_report(args, latin.build_inclusion_matrix(args.n), {"n": args.n})
     if args.sub == "basis":
         n = args.n
 
@@ -417,7 +417,8 @@ def _pool_size(jobs: int, cpus: Optional[int]) -> int:
     """Worker processes for `jobs` search chunks: at most one per CPU (cpus None: unknown, 1).
 
     The chunks, and so the payload, follow the requested jobs; only how
-    many of them run at once depends on the machine.
+    many of them run at once depends on the machine. One worker runs them
+    in the command's own process, without a pool.
     """
     return max(1, min(jobs, cpus or 1))
 
@@ -520,33 +521,25 @@ def _run_cycles(args):
     if args.sub == "diamond-free":
         if args.n % 8 != 1 or args.n < 1:
             raise NotAdmissibleError(args.n)
-        if args.jobs > 1:
-            # deterministic split: chunk i gets seed + i*1000003 and its
-            # share of the restarts; smallest successful index wins
-            params = [
-                (args.n, args.seed + i * 1000003, share, args.budget)
-                for i, share in enumerate(_restart_shares(args.restarts, args.jobs))
-            ]
+        # deterministic split: chunk i gets seed + i*1000003 and its share of
+        # the restarts; smallest successful index wins
+        params = [
+            (args.n, args.seed + i * 1000003, share, args.budget)
+            for i, share in enumerate(_restart_shares(args.restarts, args.jobs))
+        ]
+        workers = _pool_size(args.jobs, os.cpu_count())
+        if workers == 1:
+            results = [_diamond_free_chunk(p) for p in params]
+        else:
             import concurrent.futures
 
-            workers = _pool_size(args.jobs, os.cpu_count())
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
                 results = list(ex.map(_diamond_free_chunk, params))
-            chosen = next((r for r in results if r[0] == "ok"), None)
-            if chosen is None:
-                best = min(r[1] for r in results)
-                raise _Negative({"n": args.n, "found": False, "best_count": best})
-            cyc_list = [cycles.FourCycle(*c) for c in chosen[1]]
-            cs = cycles.CycleSystem(args.n, cyc_list)
-        else:
-            out = cycles.search_diamond_free(
-                args.n, seed=args.seed, restarts=args.restarts, budget=args.budget
-            )
-            if isinstance(out, cycles.DiamondSearchReport):
-                raise _Negative(
-                    {"n": args.n, "found": False, "best_count": out.best_count, "restarts": out.restarts}
-                )
-            cs = out
+        chosen = next((r for r in results if r[0] == "ok"), None)
+        if chosen is None:
+            best = min(r[1] for r in results)
+            raise _Negative({"n": args.n, "found": False, "best_count": best, "restarts": args.restarts})
+        cs = cycles.CycleSystem(args.n, [cycles.FourCycle(*c) for c in chosen[1]])
         payload = {
             "n": args.n,
             "found": True,
@@ -670,10 +663,6 @@ def _main(argv) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        kernels.search_budget()
-    except ValueError:
-        parser.error(f"TRADE_KERNEL_BUDGET must be a positive integer, got {os.environ['TRADE_KERNEL_BUDGET']!r}")
     # each search chunk runs at least one restart, so more jobs than restarts would leave a chunk with none
     if getattr(args, "restarts", None) is not None and args.jobs > args.restarts:
         parser.error(f"argument --jobs: must be at most --restarts ({args.restarts}), got {args.jobs}")

@@ -944,8 +944,10 @@ class CycleMovePlan:
     """A replayable sequence of signed diamond moves.
 
     audit[t] counts cycle multiplicities outside {0,1} after move t
-    (virtual mode may go negative; strict and lifted replays keep it 0,
-    lifted in the multiset sense of never dropping below zero).
+    (virtual mode may go negative; strict and lifted plans come from the
+    nonnegative best-first search and keep it 0, strict because every
+    state is a system, lifted in the multiset sense of never dropping
+    below zero).
     """
 
     n: int
@@ -982,25 +984,6 @@ def _replay(start: Counter, goal: Counter, moves, nonnegative: bool) -> tuple[in
     if state != goal:
         raise VerificationError("replaying the move plan does not reach the goal system")
     return tuple(audit)
-
-
-def _schedule_strict(start: Counter, pending: list) -> list:
-    """Greedy order of the moves keeping every intermediate a system; transform's replay checks it."""
-    state = set(start)
-    plan = []
-    pending = list(pending)
-    while pending:
-        for idx, (sign, d) in enumerate(pending):
-            removal, addition = d.move_cycles(sign)
-            if all(c in state for c in removal) and not any(c in state for c in addition):
-                break
-        else:
-            raise ScheduleFailureError(f"strict scheduling stuck with {len(pending)} moves left", prefix=plan)
-        del pending[idx]
-        state.difference_update(removal)
-        state.update(addition)
-        plan.append((sign, d))
-    return plan
 
 
 def _children(moves_of: _MoveTable, want: Sequence[int], key: tuple, h: int) -> list[tuple]:
@@ -1092,11 +1075,15 @@ def transform(
     The difference vector is decomposed over the diamond basis. Rational
     coefficients end the story in any mode (certificate). Integral ones
     are scheduled: virtual applies the decomposition moves in basis order
-    and tolerates negative multiplicities; strict demands every
-    intermediate be a valid system and may fail; lifted searches for a
+    and tolerates negative multiplicities; lifted searches for a
     nonnegative path between both systems augmented with lam-1 copies of
-    the deterministic filler system, raising lam until the search
-    succeeds. Each plan is replayed once, by _replay, before it is returned.
+    the deterministic filler system, raising lam up to lam_max until the
+    search succeeds; strict is that search at lam = 1 only. A diamond move
+    whose two removed cycles are present turns a 4CS into a 4CS (the two
+    added cycles cover exactly the K_{2,4} edges the removed ones free),
+    so every state of a lam = 1 path is a system. Each plan is replayed
+    once, by _replay, before it is returned; strict's replay also checks
+    that no state has a multiplicity outside {0,1}.
     """
     if cs1.n != cs2.n:
         raise ValueError("orders differ")
@@ -1111,27 +1098,26 @@ def transform(
         basis = diamond_basis(n)
         support = tuple((basis[i], c) for i, c in dec.support())
         return RationalCertificate(n, support, True)
-    if mode != "lifted":
+    if mode == "virtual":
         moves = _signed_moves_from(dec)
-        if mode == "strict":
-            moves = _schedule_strict(start, moves)
-        audit = _replay(start, goal, moves, False)
-        if mode == "strict" and any(audit):
-            raise VerificationError("a strict plan passed through a state that is not a system")
-        return CycleMovePlan(n, mode, 1, tuple(moves), audit)
-    filler = find_cycle_system(n).cycles
+        return CycleMovePlan(n, mode, 1, tuple(moves), _replay(start, goal, moves, False))
+    top = 1 if mode == "strict" else lam_max
+    filler = find_cycle_system(n).cycles if top > 1 else ()
     node_budget = search_budget(budget if budget is not None else 100_000)
-    for lam in range(1, lam_max + 1):
+    for lam in range(1, top + 1):
         aug = Counter({c: lam - 1 for c in filler})
         a, b = start + aug, goal + aug
         path = _best_first_schedule(n, a, b, node_budget, seed)
         if path is None:
             continue
+        if mode == "strict":
+            audit = _replay(start, goal, path, False)
+            if any(audit):
+                raise VerificationError("a strict plan passed through a state that is not a system")
+            return CycleMovePlan(n, mode, 1, tuple(path), audit)
         _replay(a, b, path, True)
         return CycleMovePlan(n, "lifted", lam, tuple(path), tuple(0 for _ in path))
-    raise ScheduleFailureError(
-        f"lifted scheduling failed for lambda up to {lam_max} within budget {node_budget}"
-    )
+    raise ScheduleFailureError(f"{mode} scheduling failed for lambda up to {top} within budget {node_budget}")
 
 
 # ---------------------------------------------------------------------------

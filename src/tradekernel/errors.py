@@ -52,15 +52,8 @@ class SpanDeficientError(TradeKernelError):
 
 
 class ScheduleFailureError(TradeKernelError):
-    """No admissible ordering of moves was found.
-
-    Carries the longest prefix that stayed feasible so callers can inspect
-    where the schedule got stuck.
-    """
-
-    def __init__(self, message: str, prefix=None):
-        self.prefix = list(prefix) if prefix is not None else []
-        super().__init__(message)
+    """The best-first move search (strict at lambda 1, lifted up to
+    lambda_max) found no path within its node budget."""
 
 
 class MissingCyclesError(TradeKernelError):

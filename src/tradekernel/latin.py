@@ -278,20 +278,10 @@ def line_label(n: int, r: int) -> str:
     return f"{('rc', 'rs', 'cs')[block]}({u1},{u2})"
 
 
-@dataclass(frozen=True)
-class InclusionMatrix:
-    """The 3n^2 x n^3 latin inclusion matrix with labeled rows."""
-
-    n: int
-    matrix: SparseIntMatrix
-
-    def row_label(self, r: int) -> str:
-        return line_label(self.n, r)
-
-
 @functools.lru_cache(maxsize=None)
-def build_inclusion_matrix(n: int) -> InclusionMatrix:
-    """Rows: cell lines (i,j), then row-symbol (i,k), then column-symbol (j,k).
+def build_inclusion_matrix(n: int) -> SparseIntMatrix:
+    """The 3n^2 x n^3 latin inclusion matrix. Rows: cell lines (i,j), then
+    row-symbol (i,k), then column-symbol (j,k); line_label names them.
 
     Each column (i,j,k) meets exactly one row per block, so columns have
     three ones and rows have n ones.
@@ -307,7 +297,7 @@ def build_inclusion_matrix(n: int) -> InclusionMatrix:
                 entries[(i * n + j, col)] = 1
                 entries[(nn + i * n + k, col)] = 1
                 entries[(2 * nn + j * n + k, col)] = 1
-    return InclusionMatrix(n, SparseIntMatrix(3 * nn, n**3, entries))
+    return SparseIntMatrix(3 * nn, n**3, entries)
 
 
 def _first_violated_line(n: int, sums: Mapping[int, int]) -> Optional[tuple[int, str, int]]:

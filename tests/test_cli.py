@@ -217,12 +217,8 @@ def test_transform_of_empty_systems_is_an_empty_plan(capsys, tmp_path, n):
 
 
 def run_process(argv):
-    """Run the CLI in a fresh interpreter; leading NAME=value items set the environment."""
+    """Run the CLI in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tradekernel.__file__)))
-    while argv and "=" in argv[0]:
-        name, _, value = argv[0].partition("=")
-        env[name] = value
-        argv = argv[1:]
     return subprocess.run(
         [sys.executable, "-m", "tradekernel.cli", *argv],
         env=env,
@@ -242,10 +238,6 @@ def run_process(argv):
         ["linalg", "rank", "--matrix", "m.txt", "--mod", "4"],
         ["latin", "rank", "--n", "3", "--mod", "1"],
         ["cycles", "rank", "--n", "6", "--mod", str(2**31)],
-        ["TRADE_KERNEL_BUDGET=abc", "cycles", "find", "--n", "9"],
-        # the environment is checked for every group, not only where a search reads it
-        ["TRADE_KERNEL_BUDGET=abc", "latin", "rank", "--n", "3"],
-        ["TRADE_KERNEL_BUDGET=abc", "linalg", "rank", "--matrix", "m.txt"],
         ["cycles", "diamond-free", "--n", "9", "--jobs", "-3"],
         ["cycles", "diamond-free", "--n", "9", "--jobs", "0"],
         ["cycles", "diamond-free", "--n", "9", "--restarts", "0"],
@@ -255,8 +247,6 @@ def run_process(argv):
         ["cycles", "transform", "--a", "a.cyc", "--b", "b.cyc", "--mode", "lifted", "--lam-max", "0"],
         ["cycles", "find", "--n", "9", "--budget", "0"],
         ["cycles", "transform", "--a", "a.cyc", "--b", "b.cyc", "--budget", "-5"],
-        ["TRADE_KERNEL_BUDGET=0", "cycles", "find", "--n", "9"],
-        ["TRADE_KERNEL_BUDGET=-3", "cycles", "diamond-free", "--n", "9"],
         # an option the command does not read is not accepted
         ["latin", "transform", "--a", "a.sq", "--b", "b.sq", "--seed", "9"],
         ["latin", "rank", "--n", "3", "--budget", "3"],
@@ -271,10 +261,7 @@ def test_order_below_minimum_is_usage_error(argv):
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("usage: tradekernel")
     last = out.stderr.splitlines()[-1]
-    if "=" in argv[0]:
-        assert argv[0].partition("=")[0] in last
-    else:
-        assert f"argument {argv[-2]}: " in last or last.endswith(f"unrecognized arguments: {argv[-2]} {argv[-1]}")
+    assert f"argument {argv[-2]}: " in last or last.endswith(f"unrecognized arguments: {argv[-2]} {argv[-1]}")
 
 
 def test_closed_stdout_is_a_quiet_broken_pipe_exit():
@@ -544,8 +531,11 @@ def _fuzz_argv(files):
     mod = st.sampled_from(["2", "4", "2147483647"])
     budget = st.integers(-1, 2000).map(str)
 
-    def cmd(*parts):
-        return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts)).map(list)
+    def cmd(*parts, extras=()):
+        """parts, then up to two of the options the command also reads (--text for every command)"""
+        options = st.lists(st.sampled_from([["--text"], *extras]), max_size=2)
+        parts = st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts))
+        return st.tuples(parts, options).map(lambda t: [*t[0], *(x for o in t[1] for x in o)])
 
     commands = st.one_of(
         cmd("latin", "matrix", "--n", n),
@@ -566,11 +556,15 @@ def _fuzz_argv(files):
         cmd("cycles", "decompose", "--a", f, "--b", f),
         cmd("cycles", "decompose", "--a", f),
         cmd("cycles", "find", "--n", n, "--budget", budget),
-        cmd("cycles", "diamond-free", "--n", n, "--restarts", st.integers(-1, 3).map(str)),
+        # --jobs stays 1, so no process pool starts
+        cmd(
+            "cycles", "diamond-free", "--n", n, "--restarts", st.integers(-1, 3).map(str),
+            extras=[["--seed", "7"], ["--jobs", "1"], ["--budget", "500"]],
+        ),
         cmd("cycles", "count-diamonds", "--system", f),
         cmd(
             "cycles", "transform", "--a", f, "--b", f, "--mode", st.sampled_from(["virtual", "strict", "lifted"]),
-            "--lam-max", st.integers(0, 2).map(str), "--budget", budget,
+            "--lam-max", st.integers(0, 2).map(str), "--budget", budget, extras=[["--seed", "7"]],
         ),
         cmd("cycles", "validate", "--system", f),
         cmd("cycles", "validate", "--pair", f),
@@ -579,9 +573,9 @@ def _fuzz_argv(files):
         cmd("linalg", "kernel", "--matrix", f),
         cmd("linalg", "lattice-eq", "--a", f, "--b", f),
     )
-    # --jobs stays 1, so no process pool starts
-    extras = st.lists(st.sampled_from([["--text"], ["--seed", "7"], ["--jobs", "1"], ["--bogus"]]), max_size=2)
-    return st.tuples(commands, extras).map(lambda t: t[0] + [x for e in t[1] for x in e])
+    # one draw in ten adds an option no command accepts
+    bogus = st.sampled_from([[]] * 9 + [["--bogus"]])
+    return st.tuples(commands, bogus).map(lambda t: t[0] + t[1])
 
 
 @settings(deadline=None, max_examples=120)
@@ -897,7 +891,7 @@ _WITHOUT_NUMPY = [
     (["cycles", "find", "--n", "10"], 1),
     (["cycles", "diamond-free", "--n", "9", "--seed", "1"], 0),
     (["cycles", "count-diamonds", "--system", "{d}/a.cyc"], 0),
-    (["cycles", "transform", "--a", "{d}/a.cyc", "--b", "{d}/b.cyc", "--mode", "strict"], 1),
+    (["cycles", "transform", "--a", "{d}/a.cyc", "--b", "{d}/b.cyc", "--mode", "strict"], 0),
     (["cycles", "validate", "--pair", "{d}/t.tp"], 0),
     (["linalg", "rank", "--matrix", "{m}"], 0),
     (["linalg", "kernel", "--matrix", "{m}"], 0),
@@ -1032,6 +1026,7 @@ class TestRoundTrips:
         assert improper_max == rep["payload"]["improper_max"]
 
     def test_cycle_transform_plan_file_parses(self, capsys, tmp_path):
+        # two systems one diamond move apart: both searches find that move at lambda 1
         cs = cycles.find_cycle_system(9)
         cs2 = _one_move_away(cs)
         a = tmp_path / "a.cyc"
@@ -1039,15 +1034,17 @@ class TestRoundTrips:
         a.write_text(cycles.format_cycle_system(cs))
         b.write_text(cycles.format_cycle_system(cs2))
         plan = tmp_path / "plan.txt"
-        code, rep = run_json(
-            capsys, "cycles", "transform", "--a", str(a), "--b", str(b),
-            "--mode", "lifted", "--plan-out", str(plan),
-        )
-        assert code == 0
-        assert rep["payload"]["result"] == "plan"
-        moves, lam = cycles.parse_cycle_move_plan(plan.read_text())
-        assert lam == rep["payload"]["lambda"]
-        assert len(moves) == len(rep["payload"]["moves"])
+        for mode in ("lifted", "strict"):
+            code, rep = run_json(
+                capsys, "cycles", "transform", "--a", str(a), "--b", str(b),
+                "--mode", mode, "--plan-out", str(plan),
+            )
+            assert code == 0
+            payload = rep["payload"]
+            assert (payload["result"], payload["mode"], payload["lambda"], payload["audit"]) == ("plan", mode, 1, [0])
+            moves, lam = cycles.parse_cycle_move_plan(plan.read_text())
+            assert lam == payload["lambda"]
+            assert len(moves) == len(payload["moves"]) == 1
 
 
 class TestStochastic:
@@ -1075,7 +1072,20 @@ class TestStochastic:
             capsys, "cycles", "diamond-free", "--n", "9", "--restarts", "3", "--jobs", "2", "--seed", "16"
         )
         assert code == 1 and rep["payload"]["found"] is False
+        assert rep["payload"]["restarts"] == 3
         assert isinstance(cycles.search_diamond_free(9, seed=16 + 1000003, restarts=2), cycles.CycleSystem)
+
+    @pytest.mark.parametrize("restarts", ["3", "40"])
+    def test_jobs_run_in_process_on_one_cpu(self, capsys, monkeypatch, restarts):
+        # one worker runs the chunks in process; the payload does not depend on where they ran
+        argv = ["cycles", "diamond-free", "--n", "9", "--restarts", restarts, "--jobs", "2", "--seed", "16"]
+        reps = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            code, rep = run_json(capsys, *argv)
+            rep.pop("timing_s")
+            reps.append((code, rep))
+        assert reps[0] == reps[1]
 
     def test_jobs_split_is_deterministic(self, capsys):
         outs = []

@@ -707,18 +707,14 @@ class TestMoves:
         sign, d = moves[0]
         target = apply_diamond_move(Counter({c: 1 for c in cs.cycles}), d, sign)
         cs2 = CycleSystem(9, list(target))
-        for mode in ("virtual", "lifted"):
-            out = transform(cs, cs2, mode=mode)
+        plans = {mode: transform(cs, cs2, mode=mode) for mode in ("virtual", "strict", "lifted")}
+        for out in plans.values():
             assert not isinstance(out, RationalCertificate)
             assert len(out.moves) >= 1
             assert out.lam == 1
-        # greedy strict scheduling may or may not find an order
-        try:
-            out = transform(cs, cs2, mode="strict")
-        except ScheduleFailureError as e:
-            assert e.prefix is not None
-        else:
-            assert out.lam == 1
+        # strict and lifted run the same lambda=1 search, and it finds the one move
+        for mode in ("strict", "lifted"):
+            assert (plans[mode].moves, plans[mode].audit) == (((sign, d),), (0,))
 
     def test_transform_modes_replay(self):
         rng = random.Random(31)
@@ -814,13 +810,11 @@ BEST_FIRST_LAMBDA2 = ("1ef59a0780f87db46f7a2ea84d8c4a3dea3cac239c8775c8bccf98e8a
 BEST_FIRST_EXPANSIONS = 490
 # sha256 of the virtual plans' audit tuples of the catalogue pairs, one repr a line
 VIRTUAL_AUDITS_SHA256 = "ad4cce05f6510c54b4648fad0c3b58417f69b5aea3d4f817cd1b36a0c93c1621"
-# Recorded while the strict scheduler still applied each move to a Counter
-# and checked the goal itself. The catalogue pairs stick at once, with an
-# empty prefix and this many moves left.
-STRICT_CATALOGUE_LEFT = (121, 121, 129, 108, 129, 93, 47, 111)
-# The near pairs: sha256 over one line per pair (the plan file's sha256 and
-# its audit, the failure text and its prefix, or a certificate), and the plan count
-STRICT_NEAR = ("4536cbca4313735944598093bccde63dc6132e4f1bd3b5afebb9d446cd9284ce", 71)
+# Strict mode is the best-first search at lambda 1. The near pairs: sha256
+# over one line per pair (the plan file's sha256 and its audit, or a
+# certificate), the plan count and the certificate count. The greedy
+# scheduler it replaced planned 71 of them and failed on 164.
+STRICT_NEAR = ("4fe4cfefdce665d31844368d18c6c79e296f36ee6efe567ceff0b2797aa3b317", 235, 65)
 
 
 def _relabelled(base, perm):
@@ -891,33 +885,37 @@ class TestSearchGolden:
         assert cycles._best_first_schedule(9, a, b, BEST_FIRST_EXPANSIONS - 1, 1) is None
         path = cycles._best_first_schedule(9, a, b, BEST_FIRST_EXPANSIONS, 1)
         assert path == list(transform(base, other, mode="lifted").moves)
+        # strict is that search at lambda 1 whatever lam_max says, so one expansion fewer fails
+        with pytest.raises(ScheduleFailureError) as e:
+            transform(base, other, mode="strict", lam_max=6, budget=BEST_FIRST_EXPANSIONS - 1)
+        assert str(e.value) == f"strict scheduling failed for lambda up to 1 within budget {BEST_FIRST_EXPANSIONS - 1}"
 
     def test_virtual_audits_catalogue(self):
         base = find_cycle_system(9)
         audits = [transform(base, _relabelled(base, p), mode="virtual").audit for p in CATALOGUE_PERMS]
         assert _sha256("\n".join(repr(a) for a in audits)) == VIRTUAL_AUDITS_SHA256
 
-    def test_strict_catalogue_stuck(self):
+    @pytest.mark.parametrize("perm", sorted(LIFTED_RELABELLED))
+    def test_strict_catalogue(self, perm):
+        # every catalogue pair has a lifted path at lambda 1, so strict, the same search
+        # at lambda 1 only, gets the same plan file
         base = find_cycle_system(9)
-        for perm, left in zip(CATALOGUE_PERMS, STRICT_CATALOGUE_LEFT):
-            with pytest.raises(ScheduleFailureError) as e:
-                transform(base, _relabelled(base, perm), mode="strict")
-            assert (str(e.value), e.value.prefix) == (f"strict scheduling stuck with {left} moves left", [])
+        plan = transform(base, _relabelled(base, perm), mode="strict")
+        assert (plan.mode, plan.lam, set(plan.audit)) == ("strict", 1, {0})
+        assert (_sha256(cycles.format_cycle_move_plan(plan)), len(plan.moves)) == LIFTED_RELABELLED[perm]
 
     def test_strict_near_pairs(self):
-        lines, plans = [], 0
+        lines, plans, certificates = [], 0, 0
         for i, (a, b) in enumerate(_near_pairs()):
-            try:
-                out = transform(a, b, mode="strict")
-            except ScheduleFailureError as e:
-                lines.append(f"{i} {e} {_sha256(_move_lines(e.prefix))}")
-                continue
+            out = transform(a, b, mode="strict")
             if isinstance(out, RationalCertificate):
+                certificates += 1
                 lines.append(f"{i} certificate")
             else:
+                assert not any(out.audit)
                 plans += 1
                 lines.append(f"{i} {_sha256(cycles.format_cycle_move_plan(out))} {out.audit}")
-        assert (_sha256("\n".join(lines)), plans) == STRICT_NEAR
+        assert (_sha256("\n".join(lines)), plans, certificates) == STRICT_NEAR
 
 
 # a transform whose schedule is corrupted before its replay, and how the CLI must end under -O:
@@ -931,24 +929,17 @@ CORRUPTED_PLANS = {
     ),
     # the strict plan undoes and redoes its first move, so it reaches the goal through negative multiplicities
     "strict-negative": (
-        "strict", "_schedule_strict", "[(-path[0][0], path[0][1]), path[0]] + path", 3, "Verification", "not a system"
+        "strict", "_best_first_schedule", "[(-path[0][0], path[0][1]), path[0]] + path", 3, "Verification",
+        "not a system",
     ),
 }
-
-
-def _strict_moves(a, b):
-    try:
-        out = transform(a, b, mode="strict")
-    except ScheduleFailureError:
-        return 0
-    return len(getattr(out, "moves", ()))
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTED_PLANS))
 def test_corrupted_plan_is_caught_under_optimize(tmp_path, case):
     mode, scheduler, corrupt, code, error, message = CORRUPTED_PLANS[case]
-    # the first near pair with a strict plan; its lifted path has a move too
-    a, b = next((a, b) for a, b in _near_pairs() if _strict_moves(a, b))
+    # the first near pair with a plan of at least one move, strict and lifted alike
+    a, b = next((a, b) for a, b in _near_pairs() if getattr(transform(a, b, mode="strict"), "moves", ()))
     files = [tmp_path / "a.cyc", tmp_path / "b.cyc"]
     for f, cs in zip(files, (a, b)):
         f.write_text(cycles.format_cycle_system(cs))

@@ -312,7 +312,7 @@ class TestKernelOracle:
         [
             lambda: cycles.build_inclusion_matrix(6),
             lambda: cycles.build_inclusion_matrix(7),
-            lambda: latin.build_inclusion_matrix(4).matrix,
+            lambda: latin.build_inclusion_matrix(4),
         ],
         ids=["cycles-6", "cycles-7", "latin-4"],
     )

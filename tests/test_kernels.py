@@ -1,6 +1,7 @@
 """The modular elimination kernels."""
 
 import numpy as np
+import pytest
 
 from tradekernel import kernels
 
@@ -35,3 +36,13 @@ def test_rref_property_exactness():
     want = np.eye(8, dtype=np.int64)
     if list(piv[:8]) == list(range(8)):
         assert np.array_equal(prod, want)
+
+
+def test_search_budget_is_explicit_or_default(monkeypatch):
+    # the environment has no say: --budget is the one way to set a budget
+    monkeypatch.setenv("TRADE_KERNEL_BUDGET", "5")
+    assert kernels.search_budget() == kernels.DEFAULT_SEARCH_BUDGET
+    assert kernels.search_budget(7) == 7
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"at least 1, got {bad}$"):
+            kernels.search_budget(bad)
