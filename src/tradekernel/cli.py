@@ -8,12 +8,14 @@ strings so exactness survives JSON. Exit codes: 0 success, 1 for
 domain-negative outcomes (not admissible, not in span, search failure,
 invalid object under validate), 2 for usage or format errors (checked
 when the arguments are parsed where possible: --n, --mod, --jobs,
---restarts, --lam-max and --budget) and for
-requests above a size limit, refused before any work (OUTPUT_CAP,
+--restarts, --lam-max and --budget), for paths that cannot be read or
+written and for requests above a size limit, refused before any work (OUTPUT_CAP,
 exactla.LATTICE_DIM_CAP), 3 when an
 internal exactness check fails (VerificationError), 141 when the reader
 closes stdout before the report is written (as with `| head`). Exit
 codes 1 and 3 print a report whose payload names the error.
+Each input kind has one reader, a parse_* function of latin or cycles;
+`validate` reports its InvalidObjectError as the payload (exit 1).
 """
 
 import argparse
@@ -33,6 +35,7 @@ from . import __version__, exactla, kernels
 from .errors import (
     FormatError,
     IdenticalSquaresError,
+    InvalidObjectError,
     KernelMembershipError,
     MissingCyclesError,
     NotAdmissibleError,
@@ -65,7 +68,7 @@ def _jsonable(x):
         return x
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, numbers.Integral):  # numpy registers its integer types here
+    if isinstance(x, numbers.Integral):
         x = int(x)
         return x if abs(x) <= 2**53 - 1 else str(x)
     if isinstance(x, float):
@@ -83,6 +86,8 @@ def _read(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as e:
         raise FormatError(f"{path} is not UTF-8 text: {e}") from e
+    except OSError as e:
+        raise FormatError(str(e)) from e
 
 
 def _read_pair(args, parse, what: str):
@@ -137,8 +142,11 @@ def _save(payload: dict, key: str, path: Optional[str], render, *render_args) ->
     """Write render(*render_args) to path when one is given, and name the file in payload[key]."""
     if not path:
         return False
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render(*render_args))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render(*render_args))
+    except OSError as e:
+        raise FormatError(str(e)) from e
     payload[key] = path
     return True
 
@@ -334,6 +342,16 @@ class _Negative(Exception):
         self.payload = payload
 
 
+def _verdict(path: str, parse):
+    """The text at path and its object as parse reads it; a broken rule is validate's negative report."""
+    text = _read(path)
+    try:
+        return text, parse(text)
+    except InvalidObjectError as e:
+        condition = {} if e.condition is None else {"condition": e.condition}
+        raise _Negative({"valid": False, "kind": e.kind, **condition, "message": e.message}) from None
+
+
 def _run_latin(args):
     from . import latin
 
@@ -384,32 +402,10 @@ def _run_latin(args):
         return payload, digest, None
     if args.sub == "validate":
         if args.square:
-            text = _read(args.square)
-            n, grid = latin.parse_grid_file(text)
-            if any(x is None for row in grid for x in row):
-                raise _Negative({"valid": False, "kind": "square", "message": "grid has empty cells"})
-            try:
-                sq = latin.LatinSquare(grid)
-            except ValueError as e:
-                raise _Negative({"valid": False, "kind": "square", "message": str(e)})
+            text, sq = _verdict(args.square, latin.parse_square)
             return {"valid": True, "kind": "square", "n": sq.n}, {"square": text}, None
-        text = _read(args.trade)
-        n, p_triples, q_triples = latin.parse_trade_grids(text)
-        try:
-            p = latin.PartialLatinSquare(n, p_triples)
-            q = latin.PartialLatinSquare(n, q_triples)
-        except ValueError as e:
-            raise _Negative({"valid": False, "kind": "trade", "message": str(e)})
-        bad = latin.check_trade(p, q)
-        if bad is not None:
-            raise _Negative(
-                {"valid": False, "kind": "trade", "condition": bad.condition, "message": bad.message}
-            )
-        return (
-            {"valid": True, "kind": "trade", "n": n, "volume": p.volume},
-            {"trade": text},
-            None,
-        )
+        text, trade = _verdict(args.trade, latin.parse_trade)
+        return {"valid": True, "kind": "trade", "n": trade.n, "volume": trade.volume}, {"trade": text}, None
     raise AssertionError(args.sub)
 
 
@@ -584,25 +580,9 @@ def _run_cycles(args):
         return payload, digest, args.seed
     if args.sub == "validate":
         if args.system:
-            text = _read(args.system)
-            n, cyc_list = cycles.parse_cycle_collection(text)
-            if len(set(cyc_list)) != len(cyc_list):
-                raise _Negative({"valid": False, "kind": "system", "message": "duplicate cycle"})
-            try:
-                cs = cycles.CycleSystem(n, cyc_list)
-            except ValueError as e:
-                raise _Negative({"valid": False, "kind": "system", "message": str(e)})
-            return (
-                {"valid": True, "kind": "system", "n": cs.n, "cycle_count": len(cs)},
-                {"system": text},
-                None,
-            )
-        text = _read(args.pair)
-        n, t, t_star = cycles.parse_trade_pair_blocks(text)
-        bad = cycles.validate_trade_pair(t, t_star)
-        if bad is not None:
-            raise _Negative({"valid": False, "kind": "pair", "message": bad})
-        tp = cycles.CycleTradePair(n, t, t_star)
+            text, cs = _verdict(args.system, cycles.parse_cycle_system)
+            return {"valid": True, "kind": "system", "n": cs.n, "cycle_count": len(cs)}, {"system": text}, None
+        text, tp = _verdict(args.pair, cycles.parse_trade_pair_file)
         return (
             {"valid": True, "kind": "pair", "n": tp.n, "volume": tp.volume, "foundation": tp.foundation},
             {"pair": text},
@@ -685,7 +665,7 @@ def _main(argv) -> int:
             t0=t0,
         )
         return 3 if isinstance(e, VerificationError) else 1
-    except (FormatError, FileNotFoundError, IsADirectoryError) as e:
+    except FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         print(f"run 'tradekernel {command} --help' for the expected formats", file=sys.stderr)
         return 2

@@ -44,6 +44,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 from . import exactla, kernels
 from .errors import (
     FormatError,
+    InvalidObjectError,
     KernelMembershipError,
     MissingCyclesError,
     NotAdmissibleError,
@@ -301,17 +302,18 @@ def validate_trade_pair(t: Iterable[FourCycle], t_star: Iterable[FourCycle]) -> 
 
 
 class CycleTradePair:
-    """An edge-balanced pair of disjoint cycle sets (a 4-cycle trade)."""
+    """An edge-balanced pair of disjoint cycle sets (a 4-cycle trade). A
+    violation is a ValueError whose text is validate_trade_pair's."""
 
     def __init__(self, n: int, t: Iterable[FourCycle], t_star: Iterable[FourCycle]):
-        t, t_star = frozenset(t), frozenset(t_star)
-        _check_canonical_in_range(t | t_star, n)
+        t, t_star = list(t), list(t_star)  # checked as given: a cycle listed twice repeats its edges
+        _check_canonical_in_range({*t, *t_star}, n)
         bad = validate_trade_pair(t, t_star)
         if bad is not None:
-            raise ValueError(f"not a trade pair: {bad}")
+            raise ValueError(bad)
         self.n = n
-        self.t = t
-        self.t_star = t_star
+        self.t = frozenset(t)
+        self.t_star = frozenset(t_star)
 
     @property
     def volume(self) -> int:
@@ -1020,14 +1022,16 @@ def _children(moves_of: _MoveTable, want: Sequence[int], key: tuple, h: int) -> 
 
 def _best_first_schedule(
     n: int, start: Counter, goal: Counter, node_budget: int, seed: int
-) -> Optional[list]:
+) -> Union[list, int, None]:
     """Best-first search over all applicable diamond moves, on the ranks of _cycle_ranks(n).
 
     Priority 8*h + g with h the multiset L1 distance to the goal; a small
     seeded jitter breaks ties reproducibly. A state is keyed by its sorted
     ranks with repeats and its heap entry carries its h; _children derives
     each child's key and h from them. Only the returned path is built as
-    DoubleDiamonds. Returns it, or None on budget exhaustion.
+    DoubleDiamonds. Returns it, None on budget exhaustion, or, when every
+    state reachable from start was expanded without meeting the goal (no
+    path exists at any budget), the number of states seen.
     """
     moves_of = _move_table(n)
     cycs, rank, _, _ = moves_of.table
@@ -1059,7 +1063,7 @@ def _best_first_schedule(
                     path.append((sign, DoubleDiamond(*spec)))
                 return path[::-1]
             heapq.heappush(heap, (8 * ch + ng, rng.randrange(16), next(counter), ckey, ch))
-    return None
+    return len(best)
 
 
 def transform(
@@ -1108,7 +1112,12 @@ def transform(
         aug = Counter({c: lam - 1 for c in filler})
         a, b = start + aug, goal + aug
         path = _best_first_schedule(n, a, b, node_budget, seed)
-        if path is None:
+        if isinstance(path, int) and mode == "strict":
+            raise ScheduleFailureError(
+                f"strict scheduling failed: no lambda 1 path exists from this start; "
+                f"the search saw all {path} states reachable from it"
+            )
+        if not isinstance(path, list):
             continue
         if mode == "strict":
             audit = _replay(start, goal, path, False)
@@ -1157,13 +1166,14 @@ def parse_cycle_collection(text: str) -> tuple[int, list[FourCycle]]:
 
 
 def parse_cycle_system(text: str) -> CycleSystem:
+    """The 4-cycle system of a cycle file; InvalidObjectError when its cycles are not one."""
     n, cycles = parse_cycle_collection(text)
     if len(set(cycles)) != len(cycles):
-        raise FormatError("cycle file: duplicate cycle")
+        raise InvalidObjectError("system", "duplicate cycle")
     try:
         return CycleSystem(n, cycles)
     except ValueError as e:
-        raise FormatError(f"cycle file: {e}") from e
+        raise InvalidObjectError("system", str(e)) from e
 
 
 def format_trade_pair_file(tp: CycleTradePair) -> str:
@@ -1172,8 +1182,8 @@ def format_trade_pair_file(tp: CycleTradePair) -> str:
     return "\n".join(top) + "\n\n" + "\n".join(bot) + "\n"
 
 
-def parse_trade_pair_blocks(text: str) -> tuple[int, list[FourCycle], list[FourCycle]]:
-    """The two cycle blocks of a trade file, without the trade checks."""
+def parse_trade_pair_file(text: str) -> CycleTradePair:
+    """Two cycle blocks (T then T*) separated by a blank line; InvalidObjectError when they are not a trade pair."""
     blocks: list[list[str]] = [[]]
     for ln in text.splitlines():
         if ln.strip():
@@ -1191,16 +1201,10 @@ def parse_trade_pair_blocks(text: str) -> tuple[int, list[FourCycle], list[FourC
             raise FormatError("trade pair: blocks declare different orders")
     else:
         _, t_star = parse_cycle_collection("\n".join([f"n={n}"] + second))
-    return n, t, t_star
-
-
-def parse_trade_pair_file(text: str) -> CycleTradePair:
-    """Two cycle blocks (T then T*) separated by a blank line."""
-    n, t, t_star = parse_trade_pair_blocks(text)
     try:
         return CycleTradePair(n, t, t_star)
     except ValueError as e:
-        raise FormatError(f"trade pair: {e}") from e
+        raise InvalidObjectError("pair", str(e)) from e
 
 
 def format_diamond(d: DoubleDiamond) -> str:

@@ -2,7 +2,8 @@
 
 Domain-negative outcomes that a caller is expected to branch on (a search
 that fails, a vector outside the kernel) get their own class so the CLI can
-map them to exit code 1 without string matching.
+map them to exit code 1 without string matching. A file that parses but
+breaks a rule of its kind is an InvalidObjectError, `validate`'s verdict.
 """
 
 
@@ -53,7 +54,8 @@ class SpanDeficientError(TradeKernelError):
 
 class ScheduleFailureError(TradeKernelError):
     """The best-first move search (strict at lambda 1, lifted up to
-    lambda_max) found no path within its node budget."""
+    lambda_max) found no path within its node budget, or strict saw every
+    state reachable from its start and none was the goal."""
 
 
 class MissingCyclesError(TradeKernelError):
@@ -78,4 +80,18 @@ class VerificationError(TradeKernelError):
 
 
 class FormatError(TradeKernelError):
-    """Malformed input file or text block. The CLI maps this to exit 2."""
+    """Malformed input file or text block, or a path that cannot be read or
+    written. The CLI maps this to exit 2."""
+
+
+class InvalidObjectError(FormatError):
+    """A file that parses but whose object breaks a rule of its kind ("square",
+    "trade", "system" or "pair"): message is the bare reason, condition the
+    failed latin trade condition where there is one. `validate` reports it
+    (exit 1); any other command exits 2 with its text."""
+
+    def __init__(self, kind: str, message: str, condition: int | None = None):
+        self.kind, self.message, self.condition = kind, message, condition
+        reason = message if condition is None else f"not a trade (condition {condition}): {message}"
+        prefix = {"system": "cycle file", "pair": "trade pair: not a trade pair"}.get(kind, kind)
+        super().__init__(f"{prefix}: {reason}")

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import FormatError, IdenticalSquaresError, KernelMembershipError, VerificationError
+from .errors import FormatError, IdenticalSquaresError, InvalidObjectError, KernelMembershipError, VerificationError
 from .exactla import SparseIntMatrix
 
 
@@ -132,13 +132,15 @@ class PartialLatinSquare:
         return f"PartialLatinSquare(n={self.n}, volume={self.volume})"
 
 
-@dataclass(frozen=True)
-class TradeViolation:
+class TradeViolation(ValueError):
     """First failed trade condition with a witness. Condition numbering:
-    1 = shapes differ, 2 = agreement on a common cell, 3 = line content mismatch."""
+    1 = shapes differ, 2 = agreement on a common cell, 3 = line content mismatch.
+    check_trade returns it; LatinTrade raises it."""
 
-    condition: int
-    message: str
+    def __init__(self, condition: int, message: str):
+        self.condition = condition
+        self.message = message
+        super().__init__(f"not a trade (condition {condition}): {message}")
 
 
 def check_trade(p: PartialLatinSquare, q: PartialLatinSquare) -> Optional[TradeViolation]:
@@ -166,7 +168,7 @@ class LatinTrade:
     def __init__(self, p: PartialLatinSquare, q: PartialLatinSquare):
         bad = check_trade(p, q)
         if bad is not None:
-            raise ValueError(f"not a trade (condition {bad.condition}): {bad.message}")
+            raise bad
         self.p = p
         self.q = q
         self.n = p.n
@@ -180,14 +182,6 @@ class LatinTrade:
 
     def __repr__(self) -> str:
         return f"LatinTrade(n={self.n}, volume={self.volume})"
-
-
-def validate_trade(
-    p: PartialLatinSquare, q: PartialLatinSquare
-) -> Union[LatinTrade, TradeViolation]:
-    """The trade if the pair qualifies, otherwise the first violation report."""
-    bad = check_trade(p, q)
-    return bad if bad is not None else LatinTrade(p, q)
 
 
 class TripleVector:
@@ -590,21 +584,16 @@ def format_square(sq: LatinSquare) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_grid_file(text: str, kind: str = "square") -> tuple[int, list[list[Optional[int]]]]:
-    """(n, grid) with None for empty cells, before any latin checks."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n = _parse_header(lines, kind)
-    return n, _parse_grid(n, lines[1:], kind)
-
-
 def parse_square(text: str) -> LatinSquare:
-    n, grid = parse_grid_file(text, "square")
+    """The latin square of a square file; InvalidObjectError when the grid is not one."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    grid = _parse_grid(_parse_header(lines, "square"), lines[1:], "square")
     if any(x is None for row in grid for x in row):
-        raise FormatError("square: empty cells not allowed")
+        raise InvalidObjectError("square", "grid has empty cells")
     try:
         return LatinSquare(grid)
     except ValueError as e:
-        raise FormatError(f"square: {e}") from e
+        raise InvalidObjectError("square", str(e)) from e
 
 
 def format_partial(p: PartialLatinSquare) -> str:
@@ -628,11 +617,11 @@ def format_trade(t: LatinTrade) -> str:
     return p_txt + "\n" + q_txt + "\n"
 
 
-def parse_trade_grids(text: str) -> tuple[int, list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """(n, triples of first grid, triples of second), before partial-square checks."""
-    raw = text.splitlines()
+def parse_trade(text: str) -> LatinTrade:
+    """The latin trade of a trade file; InvalidObjectError when a grid is not a
+    partial latin square or the two are not a trade (with the failed condition)."""
     blocks: list[list[str]] = [[]]
-    for ln in raw:
+    for ln in text.splitlines():
         if ln.strip():
             blocks[-1].append(ln)
         elif blocks[-1]:
@@ -648,26 +637,12 @@ def parse_trade_grids(text: str) -> tuple[int, list[tuple[int, int, int]], list[
             raise FormatError("trade: the two grids declare different orders")
         q_lines = q_lines[1:]
     q_grid = _parse_grid(n, q_lines, "trade (second grid)")
-    return n, _grid_triples(p_grid), _grid_triples(q_grid)
-
-
-def parse_trade_pair(text: str) -> tuple[PartialLatinSquare, PartialLatinSquare]:
-    """The two grids of a trade file, unvalidated as a trade."""
-    n, p_triples, q_triples = parse_trade_grids(text)
     try:
-        p = PartialLatinSquare(n, p_triples)
-        q = PartialLatinSquare(n, q_triples)
+        return LatinTrade(PartialLatinSquare(n, _grid_triples(p_grid)), PartialLatinSquare(n, _grid_triples(q_grid)))
+    except TradeViolation as e:
+        raise InvalidObjectError("trade", e.message, e.condition) from e
     except ValueError as e:
-        raise FormatError(f"trade: {e}") from e
-    return p, q
-
-
-def parse_trade(text: str) -> LatinTrade:
-    p, q = parse_trade_pair(text)
-    try:
-        return LatinTrade(p, q)
-    except ValueError as e:
-        raise FormatError(f"trade: {e}") from e
+        raise InvalidObjectError("trade", str(e)) from e
 
 
 def format_move_plan(plan: MovePlan) -> str:

@@ -196,6 +196,17 @@ BAD_INPUTS = {
         "--a", _file(d / "a", f"dims 1 {exactla.LATTICE_DIM_CAP + 1}\n0 0 1\n"),
         "--b", _file(d / "b", f"dims 1 {exactla.LATTICE_DIM_CAP + 1}\n0 1 1\n"),
     ],
+    # paths the operating system refuses, for reading and for writing (a path through a
+    # regular file is read by every command in test_broken_input_is_exit_2_in_every_command)
+    "input-name-too-long": lambda d: ["latin", "decompose", "--trade", str(d / ("x" * 5000))],
+    "input-is-a-directory": lambda d: ["linalg", "rank", "--matrix", str(d)],
+    "out-through-a-file": lambda d: ["cycles", "find", "--n", "9", "--out", _file(d / "s", _square(3)) + "/x"],
+    "out-in-a-missing-directory": lambda d: ["latin", "matrix", "--n", "2", "--out", str(d / "missing" / "m")],
+    "plan-out-is-a-directory": lambda d: [
+        "latin", "transform", "--a", _file(d / "a", _square(3)),
+        "--b", _file(d / "b", latin.format_square(latin.LatinSquare([[0, 2, 1], [2, 1, 0], [1, 0, 2]]))),
+        "--plan-out", str(d),
+    ],
 }
 
 
@@ -205,6 +216,90 @@ def test_bad_input_is_format_error(capsys, tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# one file for each rule a kind can break: the flag `validate` reads it with, the file,
+# its verdict (exit 1), a command that consumes the kind, and that command's stderr line (exit 2)
+_PAIR_T = "n=6\n0 1 2 3\n0 4 2 5\n"
+VERDICTS = {
+    "square-empty-cell": (
+        "--square", "n=2\n0 .\n1 0\n", {"kind": "square", "message": "grid has empty cells"},
+        "latin transform --a {0} --b {0}", "square: grid has empty cells",
+    ),
+    "square-row": (
+        "--square", "n=2\n0 0\n1 1\n", {"kind": "square", "message": "row 0 is not a permutation of 0..1"},
+        "latin transform --a {0} --b {0}", "square: row 0 is not a permutation of 0..1",
+    ),
+    "square-column": (
+        "--square", "n=2\n0 1\n0 1\n", {"kind": "square", "message": "column 0 is not a permutation of 0..1"},
+        "latin transform --a {0} --b {0}", "square: column 0 is not a permutation of 0..1",
+    ),
+    "trade-partial-square": (
+        "--trade", "n=2\n0 0\n. .\n\n1 1\n. .\n", {"kind": "trade", "message": "symbol 0 repeated in row 0"},
+        "latin decompose --trade {0}", "trade: symbol 0 repeated in row 0",
+    ),
+    "trade-condition-1": (
+        "--trade", "n=2\n0 1\n1 0\n\n1 0\n0 .\n",
+        {"kind": "trade", "condition": 1, "message": "shapes differ at cell (1, 1)"},
+        "latin decompose --trade {0}", "trade: not a trade (condition 1): shapes differ at cell (1, 1)",
+    ),
+    "trade-condition-2": (
+        "--trade", "n=2\n0 1\n1 0\n\n0 1\n1 0\n",
+        {"kind": "trade", "condition": 2, "message": "cell (0,0) holds the same symbol on both sides"},
+        "latin decompose --trade {0}", "trade: not a trade (condition 2): cell (0,0) holds the same symbol on both sides",
+    ),
+    "trade-condition-3": (
+        "--trade", "n=3\n0 1 .\n1 2 .\n. . .\n\n1 0 .\n2 1 .\n. . .\n",
+        {"kind": "trade", "condition": 3, "message": "column 0 contents differ"},
+        "latin decompose --trade {0}", "trade: not a trade (condition 3): column 0 contents differ",
+    ),
+    "system-duplicate-cycle": (
+        "--system", "n=4\n0 1 2 3\n0 1 2 3\n", {"kind": "system", "message": "duplicate cycle"},
+        "cycles decompose --a {0} --b {0}", "cycle file: duplicate cycle",
+    ),
+    "system-uncovered-edges": (
+        "--system", "n=4\n", {"kind": "system", "message": "6 edges of K_4 are uncovered"},
+        "cycles transform --a {0} --b {0}", "cycle file: 6 edges of K_4 are uncovered",
+    ),
+    "system-shared-edge": (
+        "--system", "n=4\n0 1 2 3\n0 1 3 2\n",
+        {"kind": "system", "message": "edge (0, 1) covered by both (0, 1, 2, 3) and (0, 1, 3, 2)"},
+        "cycles transform --a {0} --b {0}", "cycle file: edge (0, 1) covered by both (0, 1, 2, 3) and (0, 1, 3, 2)",
+    ),
+    "pair-shared-cycle": (
+        "--pair", _PAIR_T + "\n" + _PAIR_T, {"kind": "pair", "message": "T and T* share the cycle (0, 1, 2, 3)"},
+        "cycles decompose --trade {0}", "trade pair: not a trade pair: T and T* share the cycle (0, 1, 2, 3)",
+    ),
+    "pair-unions-differ": (
+        "--pair", _PAIR_T + "\n0 1 2 5\n", {"kind": "pair", "message": "edge unions differ at (0, 3)"},
+        "cycles decompose --trade {0}", "trade pair: not a trade pair: edge unions differ at (0, 3)",
+    ),
+    "pair-shared-edge": (
+        "--pair", _PAIR_T + "0 1 3 5\n\n0 1 2 5\n0 3 2 4\n",
+        {"kind": "pair", "message": "T is not edge-disjoint: edge (0, 1) repeats"},
+        "cycles decompose --trade {0}", "trade pair: not a trade pair: T is not edge-disjoint: edge (0, 1) repeats",
+    ),
+    # a cycle listed twice is an edge repeat too, for every reader of the file
+    "pair-duplicate-cycle": (
+        "--pair", _PAIR_T + "\n0 1 2 5\n0 3 2 4\n0 3 2 4\n",
+        {"kind": "pair", "message": "T* is not edge-disjoint: edge (0, 3) repeats"},
+        "cycles decompose --trade {0}", "trade pair: not a trade pair: T* is not edge-disjoint: edge (0, 3) repeats",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERDICTS))
+def test_validate_reports_the_readers_verdict(capsys, tmp_path, case):
+    flag, text, verdict, consumer, line = VERDICTS[case]
+    path = _file(tmp_path / "f", text)
+    group = "latin" if flag in ("--square", "--trade") else "cycles"
+    payload = {"valid": False, **verdict}
+    code, rep = run_json(capsys, group, "validate", flag, path)
+    assert (code, rep["payload"]) == (1, payload)
+    code, out, _ = run(capsys, group, "validate", flag, path, "--text")
+    assert (code, out) == (1, "".join(f"{k}: {v}\n" for k, v in payload.items()))
+    code, out, err = run(capsys, *consumer.format(path).split())
+    assert (code, out, err.splitlines()[0]) == (2, "", f"error: {line}")
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -500,13 +595,15 @@ def test_latin_size_preflight_from_file_order(capsys, tmp_path):
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    """One file of every input kind the CLI reads, plus malformed, empty, binary and missing ones."""
+    """One file of every input kind the CLI reads (two squares and two systems), plus malformed,
+    empty, binary and missing ones and a path through a regular file."""
     d = tmp_path_factory.mktemp("fuzz")
     base = cycles.find_cycle_system(9)
     perm = (8, 7, 4, 3, 0, 5, 6, 1, 2)  # an integral relabelling, lifted at lambda 1
     other = cycles.CycleSystem(9, [cycles.canonical_cycle([perm[v] for v in c]) for c in base.cycles])
     texts = {
         "square": _square(4),
+        "square-b": latin.format_square(latin.LatinSquare([[(3 * i + j) % 4 for j in range(4)] for i in range(4)])),
         "latin-trade": Path(DATA, "example4.trade").read_text(encoding="utf-8"),
         "system": cycles.format_cycle_system(base),
         "system-relabelled": cycles.format_cycle_system(other),
@@ -521,11 +618,21 @@ def fuzz_files(tmp_path_factory):
     paths = {name: _file(d / name, text) for name, text in texts.items()}
     paths["binary"] = _file(d / "binary", bytes(range(256)))
     paths["missing"] = str(d / "missing")
+    paths["through-file"] = paths["square"] + "/x"
     return paths
 
 
 def _fuzz_argv(files):
-    f = st.sampled_from(sorted(files.values()))
+    def mostly(common, rare):
+        """a draw from common, one draw in four from rare"""
+        return st.sampled_from([common] * 3 + [rare]).flatmap(lambda s: s)
+
+    def f(*kinds):
+        """a file of a kind the command reads, or rarely any file: of another kind, malformed, missing..."""
+        return mostly(st.sampled_from([files[k] for k in kinds]), st.sampled_from(sorted(files.values())))
+
+    squares, systems = ("square", "square-b"), ("system", "system-relabelled")
+    matrices = ("matrix", "matrix-wide", "matrix-tall")
     # 1001 and 1000001 are 1 mod 8, so only the size preflight stops find and diamond-free
     n = st.one_of(st.integers(-2, 10), st.sampled_from([1001, 1000001])).map(str)
     mod = st.sampled_from(["2", "4", "2147483647"])
@@ -542,36 +649,37 @@ def _fuzz_argv(files):
         cmd("latin", "rank", "--n", n),
         cmd("latin", "rank", "--n", n, "--mod", mod),
         cmd("latin", "basis", "--n", n),
-        cmd("latin", "decompose", "--trade", f),
-        cmd("latin", "transform", "--a", f, "--b", f),
-        cmd("latin", "validate", "--square", f),
-        cmd("latin", "validate", "--trade", f),
+        cmd("latin", "decompose", "--trade", f("latin-trade")),
+        cmd("latin", "transform", "--a", f(*squares), "--b", f(*squares)),
+        cmd("latin", "validate", "--square", f(*squares)),
+        cmd("latin", "validate", "--trade", f("latin-trade")),
         cmd("cycles", "matrix", "--n", n),
         cmd("cycles", "rank", "--n", n),
         cmd("cycles", "rank", "--n", n, "--mod", mod),
         cmd("cycles", "diamonds", "--n", n, "--list"),
         cmd("cycles", "span", "--n", n),
         cmd("cycles", "basis", "--n", n),
-        cmd("cycles", "decompose", "--trade", f),
-        cmd("cycles", "decompose", "--a", f, "--b", f),
-        cmd("cycles", "decompose", "--a", f),
+        cmd("cycles", "decompose", "--trade", f("pair")),
+        cmd("cycles", "decompose", "--a", f(*systems), "--b", f(*systems)),
+        cmd("cycles", "decompose", "--a", f(*systems)),
         cmd("cycles", "find", "--n", n, "--budget", budget),
         # --jobs stays 1, so no process pool starts
         cmd(
             "cycles", "diamond-free", "--n", n, "--restarts", st.integers(-1, 3).map(str),
             extras=[["--seed", "7"], ["--jobs", "1"], ["--budget", "500"]],
         ),
-        cmd("cycles", "count-diamonds", "--system", f),
+        cmd("cycles", "count-diamonds", "--system", f(*systems)),
         cmd(
-            "cycles", "transform", "--a", f, "--b", f, "--mode", st.sampled_from(["virtual", "strict", "lifted"]),
-            "--lam-max", st.integers(0, 2).map(str), "--budget", budget, extras=[["--seed", "7"]],
+            "cycles", "transform", "--a", f(*systems), "--b", f(*systems),
+            "--mode", st.sampled_from(["virtual", "strict", "lifted"]),
+            "--lam-max", mostly(st.integers(1, 2), st.just(0)).map(str), "--budget", budget, extras=[["--seed", "7"]],
         ),
-        cmd("cycles", "validate", "--system", f),
-        cmd("cycles", "validate", "--pair", f),
-        cmd("linalg", "rank", "--matrix", f),
-        cmd("linalg", "rank", "--matrix", f, "--mod", mod),
-        cmd("linalg", "kernel", "--matrix", f),
-        cmd("linalg", "lattice-eq", "--a", f, "--b", f),
+        cmd("cycles", "validate", "--system", f(*systems)),
+        cmd("cycles", "validate", "--pair", f("pair")),
+        cmd("linalg", "rank", "--matrix", f(*matrices)),
+        cmd("linalg", "rank", "--matrix", f(*matrices), "--mod", mod),
+        cmd("linalg", "kernel", "--matrix", f(*matrices)),
+        cmd("linalg", "lattice-eq", "--a", f(*matrices), "--b", f(*matrices)),
     )
     # one draw in ten adds an option no command accepts
     bogus = st.sampled_from([[]] * 9 + [["--bogus"]])
@@ -592,6 +700,16 @@ def test_fuzz_exit_codes(fuzz_files, data):
             assert code == 2
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("broken", ["malformed", "binary", "missing", "through-file"])
+def test_broken_input_is_exit_2_in_every_command(capsys, fuzz_files, broken):
+    # the fuzz draws these files rarely; here every file-reading command reads one in each of its slots
+    for template, names in MUTATED_COMMANDS:
+        argv = template.format(*[fuzz_files[broken]] * len(names)).split()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
 # every file-reading subcommand, its argv with {0} and {1} for its files, and the fixtures they start from

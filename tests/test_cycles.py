@@ -890,6 +890,19 @@ class TestSearchGolden:
             transform(base, other, mode="strict", lam_max=6, budget=BEST_FIRST_EXPANSIONS - 1)
         assert str(e.value) == f"strict scheduling failed for lambda up to 1 within budget {BEST_FIRST_EXPANSIONS - 1}"
 
+    def test_strict_from_a_diamond_free_start_has_no_path(self):
+        # a diamond-free system admits no move, so the search has seen every state after the start;
+        # the pair is integral, and lifted goes on to lambda 2 and plans
+        start = search_diamond_free(9, seed=1)
+        goal = _relabelled(find_cycle_system(9), (6, 4, 0, 3, 7, 1, 5, 2, 8))
+        with pytest.raises(ScheduleFailureError) as e:
+            transform(start, goal, mode="strict")
+        assert str(e.value) == (
+            "strict scheduling failed: no lambda 1 path exists from this start; "
+            "the search saw all 1 states reachable from it"
+        )
+        assert transform(start, goal, mode="lifted", lam_max=2, budget=3000).lam == 2
+
     def test_virtual_audits_catalogue(self):
         base = find_cycle_system(9)
         audits = [transform(base, _relabelled(base, p), mode="virtual").audit for p in CATALOGUE_PERMS]

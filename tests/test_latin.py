@@ -37,7 +37,6 @@ from tradekernel.latin import (
     transform,
     triple_at,
     triple_index,
-    validate_trade,
 )
 
 
@@ -111,10 +110,9 @@ class TestPartialAndTrades:
         v = check_trade(p2, q2)
         assert v.condition == 3
 
-    def test_validate_trade_returns_trade(self):
+    def test_parse_trade_returns_trade(self):
         t = latin.intercalate(1, 1, 2, 4)
-        out = validate_trade(t.p, t.q)
-        assert isinstance(out, latin.LatinTrade)
+        assert parse_trade(format_trade(t)) == t
 
     def test_difference_trade_of_distinct_squares(self):
         a = cyclic(4)
