@@ -674,10 +674,23 @@ def find_cycle_system(n: int, budget: Optional[int] = None) -> CycleSystem:
     return _run_cover(n, _cycles_by_edge(n), search_budget(budget))
 
 
+def _shuffle(x: list, getrandbits) -> None:
+    """random.Random.shuffle(x) with its _randbelow inlined: the same swaps from the same bits."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def _find_system_shuffled(n: int, rng: random.Random, budget: int) -> CycleSystem:
+    """find_cycle_system's cover DFS on its by-edge lists, each shuffled in edge order by _shuffle,
+    which makes rng.shuffle's draws, so a seed gives the system rng.shuffle would."""
     by_edge = [list(b) for b in _cycles_by_edge(n)]  # same order as the cached table, so the same draws
+    getrandbits = rng.getrandbits
     for b in by_edge:
-        rng.shuffle(b)
+        _shuffle(b, getrandbits)
     return _run_cover(n, by_edge, budget)
 
 
@@ -829,6 +842,29 @@ class _MoveTable(dict):
 _move_table = functools.lru_cache(maxsize=None)(_MoveTable)
 
 
+class _PartnerTable(dict):
+    """Rank r -> (bit mask of the higher ranks that form a configuration with r, {such rank: the
+    diagonal the pair shares}), on the ranks of order n, filled on first lookup."""
+
+    def __init__(self, n: int):
+        self.table = _cycle_ranks(n)
+        self.by_diag = _ConfigIndex(self.table, range(len(self.table[0]))).by_diag
+
+    def __missing__(self, r: int) -> tuple[int, dict[int, int]]:
+        _, _, diags, masks = self.table
+        mask, shared = 0, {}
+        for diag in diags[r]:
+            for r2 in self.by_diag[diag]:
+                if r2 > r and (masks[r] & masks[r2]).bit_count() == 2:
+                    mask |= 1 << r2
+                    shared[r2] = diag
+        entry = self[r] = (mask, shared)
+        return entry
+
+
+_partner_table = functools.lru_cache(maxsize=None)(_PartnerTable)
+
+
 def apply_diamond_move(
     state: Union[Mapping[FourCycle, int], Iterable[FourCycle]],
     d: DoubleDiamond,
@@ -899,6 +935,7 @@ def search_diamond_free(
     if n == 1:
         return CycleSystem(1, [])
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     node_budget = search_budget(budget)
     moves_of = _move_table(n)
     cycs, rank, _, _ = table = moves_of.table
@@ -911,7 +948,7 @@ def search_diamond_free(
             if count == 0:
                 break
             moves = [m for pair in pairs for m in moves_of[pair]]
-            rng.shuffle(moves)
+            _shuffle(moves, getrandbits)
             for _, _, removal, addition in moves:
                 delta = index.move_delta(removal, addition)
                 if delta <= 0:
@@ -988,35 +1025,49 @@ def _replay(start: Counter, goal: Counter, moves, nonnegative: bool) -> tuple[in
     return tuple(audit)
 
 
-def _children(moves_of: _MoveTable, want: Sequence[int], key: tuple, h: int) -> list[tuple]:
-    """(key, h, sign, spec) of each child of the state keyed by key, by configuration pair, then move.
+def _children(moves_of: _MoveTable, partners: _PartnerTable, want: Sequence[int], key: tuple, h: int, last) -> list:
+    """(key, h, move-table entry) of each child of the state keyed by key, by configuration pair, then move.
 
     A key is a multiset's sorted ranks with repeats, h its L1 distance to
-    want; each of a move's four distinct ranks moves h by one."""
-    _, _, diags, masks = moves_of.table
-    mult, by_diag = {}, {}
+    want; each of a move's four distinct ranks moves h by one. The pairs
+    are the partner-table hits among the state's ranks, sorted by
+    (diagonal, r1, r2) as _config_pairs orders them. The undo of last, the
+    move that made the state (None at the root), is left out unbuilt."""
+    mult, present = {}, 0
     for r in key:
         if r in mult:
             mult[r] += 1
-            continue
-        mult[r] = 1
-        for diag in diags[r]:
-            group = by_diag.get(diag)
-            if group is None:
-                by_diag[diag] = [r]
-            else:
-                group.append(r)
+        else:
+            mult[r] = 1
+            present |= 1 << r
+    hits = []
+    for r1 in mult:
+        mask, shared = partners[r1]
+        mask &= present
+        while mask:
+            low = mask & -mask
+            r2 = low.bit_length() - 1
+            hits.append((shared[r2], r1, r2))
+            mask ^= low
+    hits.sort()
+    undo = None
+    if last is not None:  # of the two moves of last's added pair, the one adding back last's removed ranks
+        m1, m2 = moves_of[tuple(sorted(last[3]))]
+        undo = m1 if last[2][0] in m1[3] else m2
     out = []
-    for r1, r2 in _config_pairs(by_diag, masks):
+    for _, r1, r2 in hits:
         rest = list(key)
         rest.remove(r1)
         rest.remove(r2)
         hr = h + (1 if mult[r1] <= want[r1] else -1) + (1 if mult[r2] <= want[r2] else -1)
-        for sign, spec, _, (a1, a2) in moves_of[r1, r2]:
+        for move in moves_of[r1, r2]:
+            if move is undo:
+                continue
+            a1, a2 = move[3]
             child = [*rest, a1, a2]
             child.sort()
             ch = hr + (1 if mult.get(a1, 0) >= want[a1] else -1) + (1 if mult.get(a2, 0) >= want[a2] else -1)
-            out.append((tuple(child), ch, sign, spec))
+            out.append((tuple(child), ch, move))
     return out
 
 
@@ -1026,43 +1077,50 @@ def _best_first_schedule(
     """Best-first search over all applicable diamond moves, on the ranks of _cycle_ranks(n).
 
     Priority 8*h + g with h the multiset L1 distance to the goal; a small
-    seeded jitter breaks ties reproducibly. A state is keyed by its sorted
-    ranks with repeats and its heap entry carries its h; _children derives
-    each child's key and h from them. Only the returned path is built as
-    DoubleDiamonds. Returns it, None on budget exhaustion, or, when every
-    state reachable from start was expanded without meeting the goal (no
-    path exists at any budget), the number of states seen.
+    seeded jitter, randrange(16)'s draws inlined, breaks ties reproducibly.
+    A state is keyed by its sorted ranks with repeats and its heap entry
+    carries its h; best keeps its g, parent key and the move-table entry
+    of the move from there. _children derives each child's key and h and
+    skips that move's undo: the parent, known at g - 1, so never pushed.
+    Only the returned path is built as DoubleDiamonds. Returns it, None on
+    budget exhaustion, or, when every state reachable from start was
+    expanded without meeting the goal (no path exists at any budget), the
+    number of states seen.
     """
-    moves_of = _move_table(n)
+    moves_of, partners = _move_table(n), _partner_table(n)
     cycs, rank, _, _ = moves_of.table
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     want = [goal[c] for c in cycs]
     h0 = sum(abs(start[c] - goal[c]) for c in {*start, *goal})
     if h0 == 0:
         return []
     key0 = tuple(sorted(rank[c] for c in start.elements()))
     heap = [(8 * h0, 0, 0, key0, h0)]
-    best: dict[tuple, tuple] = {key0: (0, None, None, None)}  # key -> (g, parent key, sign, spec)
+    best: dict[tuple, tuple] = {key0: (0, None, None)}  # key -> (g, parent key, move)
     counter = itertools.count(1)
     expanded = 0
     while heap:
         _, _, _, key, h = heapq.heappop(heap)
-        ng = best[key][0] + 1
+        g, _, last = best[key]
+        ng = g + 1
         expanded += 1
         if expanded > node_budget:
             return None
-        for ckey, ch, sign, spec in _children(moves_of, want, key, h):
+        for ckey, ch, move in _children(moves_of, partners, want, key, h, last):
             seen = best.get(ckey)
             if seen is not None and seen[0] <= ng:
                 continue
-            best[ckey] = (ng, key, sign, spec)
+            best[ckey] = (ng, key, move)
             if ch == 0:
                 path = []
                 while ckey != key0:
-                    _, ckey, sign, spec = best[ckey]
+                    _, ckey, (sign, spec, _, _) = best[ckey]
                     path.append((sign, DoubleDiamond(*spec)))
                 return path[::-1]
-            heapq.heappush(heap, (8 * ch + ng, rng.randrange(16), next(counter), ckey, ch))
+            jitter = getrandbits(5)
+            while jitter >= 16:
+                jitter = getrandbits(5)
+            heapq.heappush(heap, (8 * ch + ng, jitter, next(counter), ckey, ch))
     return len(best)
 
 
@@ -1184,13 +1242,7 @@ def format_trade_pair_file(tp: CycleTradePair) -> str:
 
 def parse_trade_pair_file(text: str) -> CycleTradePair:
     """Two cycle blocks (T then T*) separated by a blank line; InvalidObjectError when they are not a trade pair."""
-    blocks: list[list[str]] = [[]]
-    for ln in text.splitlines():
-        if ln.strip():
-            blocks[-1].append(ln)
-        elif blocks[-1]:
-            blocks.append([])
-    blocks = [b for b in blocks if b]
+    blocks = exactla.text_blocks(text)
     if len(blocks) != 2:
         raise FormatError(f"trade pair: expected two blocks, got {len(blocks)}")
     n, t = parse_cycle_collection("\n".join(blocks[0]))

@@ -102,17 +102,30 @@ def dump_matrix(m: SparseIntMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def text_blocks(text: str) -> list[list[str]]:
+    """The non-blank lines of text, in blocks separated by blank lines."""
+    blocks: list[list[str]] = [[]]
+    for ln in text.splitlines():
+        if ln.strip():
+            blocks[-1].append(ln)
+        elif blocks[-1]:
+            blocks.append([])
+    return [b for b in blocks if b]
+
+
 def parse_matrix(text: str) -> SparseIntMatrix:
     """Inverse of dump_matrix.
 
     Dimensions are taken from an optional leading `dims R C` line and
-    otherwise inferred as one past the largest indices present.
+    otherwise inferred as one past the largest indices present; a text with neither is no matrix.
     """
     entries: dict[tuple[int, int], int] = {}
     n_rows = n_cols = None
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FormatError("empty matrix file: expected a `dims R C` line or entry lines")
     start = 0
-    if lines and lines[0].split()[0] == "dims":
+    if lines[0].split()[0] == "dims":
         parts = lines[0].split()
         if len(parts) != 3:
             raise FormatError("dims line must read `dims R C`")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import FormatError, IdenticalSquaresError, InvalidObjectError, KernelMembershipError, VerificationError
-from .exactla import SparseIntMatrix
+from .exactla import SparseIntMatrix, text_blocks
 
 
 def triple_index(n: int, i: int, j: int, k: int) -> int:
@@ -620,13 +620,7 @@ def format_trade(t: LatinTrade) -> str:
 def parse_trade(text: str) -> LatinTrade:
     """The latin trade of a trade file; InvalidObjectError when a grid is not a
     partial latin square or the two are not a trade (with the failed condition)."""
-    blocks: list[list[str]] = [[]]
-    for ln in text.splitlines():
-        if ln.strip():
-            blocks[-1].append(ln)
-        elif blocks[-1]:
-            blocks.append([])
-    blocks = [b for b in blocks if b]
+    blocks = text_blocks(text)
     if len(blocks) != 2:
         raise FormatError(f"trade: expected two grids separated by a blank line, got {len(blocks)} blocks")
     n = _parse_header(blocks[0], "trade")

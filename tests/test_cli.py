@@ -702,7 +702,7 @@ def test_fuzz_exit_codes(fuzz_files, data):
     assert "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize("broken", ["malformed", "binary", "missing", "through-file"])
+@pytest.mark.parametrize("broken", ["malformed", "empty", "binary", "missing", "through-file"])
 def test_broken_input_is_exit_2_in_every_command(capsys, fuzz_files, broken):
     # the fuzz draws these files rarely; here every file-reading command reads one in each of its slots
     for template, names in MUTATED_COMMANDS:

@@ -662,19 +662,27 @@ class TestMoves:
             want_ranks[rank[c]] = m
         key = tuple(sorted(rank[c] for c in state.elements()))
         h = multiset_distance(state, want)
+        last = None
         for _ in range(10):
-            children = cycles._children(cycles._move_table(9), want_ranks, key, h)
-            # by configuration pair, then move
+            children = cycles._children(cycles._move_table(9), cycles._partner_table(9), want_ranks, key, h, last)
+            got = [(sign, DoubleDiamond(*spec)) for _, _, (sign, spec, _, _) in children]
+            # by configuration pair, then move, less the undo of the move that made the state
             moves = [m for c1, c2 in cycles.diamond_config_pairs(state) for m in pair_moves(c1, c2)]
-            assert [(sign, DoubleDiamond(*spec)) for _, _, sign, spec in children] == moves
-            for ckey, ch, sign, spec in children:
+            if last is not None:
+                # the one child left out is the undo of last: the same diamond at the other sign, back to prev
+                undo = (-last[0], DoubleDiamond(*last[1]))
+                assert moves.count(undo) == 1
+                moves.remove(undo)
+                assert apply_diamond_move(state, undo[1], undo[0]) == prev
+            assert got == moves
+            for ckey, ch, (sign, spec, _, _) in children:
                 child = apply_diamond_move(state, DoubleDiamond(*spec), sign)
                 assert ckey == tuple(sorted(rank[c] for c in child.elements()))
                 assert ch == multiset_distance(child, want)
             if not children:
                 break
-            key, h, sign, spec = rng.choice(children)
-            state = apply_diamond_move(state, DoubleDiamond(*spec), sign)
+            key, h, last = rng.choice(children)
+            prev, state = state, apply_diamond_move(state, DoubleDiamond(*last[1]), last[0])
 
     def test_move_requires_cycles_present(self):
         d = enumerate_double_diamonds(6)[0]
@@ -1062,6 +1070,44 @@ class TestBestFirstOracle:
         assert len(reached) == (10 if lam == 2 else 0)
 
 
+class TestSearchTables:
+    """Both searches draw inline what random.Random would draw; every golden rests on it."""
+
+    def test_shuffle_draws_what_random_shuffle_draws(self):
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for length in range(201):
+                x, y = list(range(length)), list(range(length))
+                cycles._shuffle(x, ours.getrandbits)
+                theirs.shuffle(y)
+                assert x == y, (seed, length)
+                assert ours.getstate() == theirs.getstate(), (seed, length)
+
+    def test_jitter_draws_what_randrange_draws(self):
+        # _best_first_schedule's tie-break: getrandbits(5) redrawn while >= 16
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                jitter = ours.getrandbits(5)
+                while jitter >= 16:
+                    jitter = ours.getrandbits(5)
+                assert jitter == theirs.randrange(16)
+            assert ours.getstate() == theirs.getstate(), seed
+
+    def test_partner_table_matches_brute_force(self):
+        cycs = cycles._cycle_ranks(9)[0]
+        partners = cycles._PartnerTable(9)
+        for r, c in enumerate(cycs):
+            mask, shared = 0, {}
+            for r2 in range(r + 1, len(cycs)):
+                common = tuple(sorted(set(c) & set(cycs[r2])))
+                # a configuration: exactly two shared vertices, a diagonal of both cycles
+                if len(common) == 2 and common in c.diagonals() and common in cycs[r2].diagonals():
+                    mask |= 1 << r2
+                    shared[r2] = edge_index(*common, 9)
+            assert partners[r] == (mask, shared), r
+
+
 def _search_and_plan_outputs(search_first):
     base = find_cycle_system(9)
     other = _relabelled(base, CATALOGUE_PERMS[1])
@@ -1074,6 +1120,7 @@ def _search_and_plan_outputs(search_first):
         return cycles.format_cycle_move_plan(transform(base, other, mode="lifted"))
 
     cycles._move_table.cache_clear()
+    cycles._partner_table.cache_clear()
     if search_first:
         return search(), plan(), search()
     return plan(), search(), plan()
@@ -1089,6 +1136,10 @@ def test_move_table_does_not_depend_on_call_order():
     assert moves_of  # filled by both searches, kept across calls
     for pair, moves in moves_of.items():
         assert moves == cycles._pair_moves(table, *pair)
+    partners, fresh = cycles._partner_table(9), cycles._PartnerTable(9)
+    assert partners  # filled by the lifted search
+    for r, entry in partners.items():
+        assert entry == fresh[r]
 
 # Recorded while decompositions were still solved modulo several primes and
 # combined by CRT and rational reconstruction: the exact solve must give the

@@ -78,6 +78,14 @@ class TestSparseIntMatrix:
         with pytest.raises(FormatError):
             parse_matrix("dims 2 2\n0 0 1\n0 0 2\n")
 
+    def test_parse_empty_text_rejected(self):
+        # no dims line and no entries is no matrix; declared dimensions with no entries are one
+        for text in ("", "\n", "  \n\t\n"):
+            with pytest.raises(FormatError, match="empty matrix file"):
+                parse_matrix(text)
+        assert parse_matrix("dims 0 0\n") == SparseIntMatrix(0, 0, {})
+        assert parse_matrix("dims 2 3\n") == SparseIntMatrix(2, 3, {})
+
 
 class TestRank:
     def test_identity(self):
